@@ -82,11 +82,6 @@ class Transformation:
     __str__ = __repr__
 
 
-def compose(s, t):
-    """Right-action composition: first apply s, then t."""
-    return s * t
-
-
 @dataclass(frozen=True, repr=False)
 class StateSubset:
     """Subset of the n states as a bit mask (bit x set iff state x is in)."""
@@ -168,16 +163,6 @@ def apply_mask(mask, images):
     return out
 
 
-def apply_subset(P, s):
-    """The subset P^s = {x^s : x in P}."""
-    return P.apply(s)
-
-
-def image(s):
-    """im(s): the image of the full state set under s."""
-    return s.image()
-
-
 class TransformationSemigroup:
     """A closed set of transformations of {0..n-1} with a fixed generating set.
 
@@ -214,6 +199,11 @@ class TransformationSemigroup:
         for g in gens:
             if g.n != n:
                 raise DomainMismatchError(f"generator {g} does not act on {n} states")
+        if len(gens) > max_elements:
+            raise ResourceLimitError(
+                "enumerate",
+                f"element cap {max_elements} exceeded by {len(gens)} distinct generators",
+            )
         seen = dict.fromkeys(g.images for g in gens)
         frontier = list(seen)
         gen_images = [g.images for g in gens]

@@ -17,17 +17,13 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
-def monoid_of(ts):
-    return ts.adjoin_identity()
-
-
 def ideal_masks(ts):
     """(right, left, two_sided) principal-ideal masks per element of S^1.
 
     right[i] covers s_i * S^1, left[i] covers S^1 * s_i, and the two-sided
     mask is the union of (u * s_i) * S^1 over all u, i.e. S^1 * s_i * S^1.
     """
-    m = monoid_of(ts)
+    m = ts.adjoin_identity()
     if "ideal_masks" in m._cache:
         return m._cache["ideal_masks"]
     table = m.table()
@@ -65,7 +61,7 @@ def green_preorder(ts, which):
     s <=_K t holds when the principal K-ideal of s is contained in that of
     t; <=_H is the meet of <=_L and <=_R.
     """
-    m = monoid_of(ts)
+    m = ts.adjoin_identity()
     key = ("green_preorder", which)
     if key in m._cache:
         return m._cache[key]
@@ -119,7 +115,7 @@ def d_classes(ts):
     Cross-checked against the J-classes: the two partitions must agree on a
     finite semigroup, and a mismatch raises ConsistencyError.
     """
-    m = monoid_of(ts)
+    m = ts.adjoin_identity()
     if "d_classes" in m._cache:
         return m._cache["d_classes"]
     uf = _UnionFind(len(m.elements))
@@ -160,7 +156,7 @@ class EggBox:
 
 def eggboxes(ts):
     """EggBox grids for every D-class, ordered as the J-classes are."""
-    m = monoid_of(ts)
+    m = ts.adjoin_identity()
     lp = green_poset(m, "L")
     rp = green_poset(m, "R")
     boxes = []

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .green import green_preorder, green_poset
-from .order import check_preorder_morphism, induce, quotient_cached
+from .order import check_preorder_morphism, induce, order_violation
 from .skeleton import (
-    image_set,
     inclusion_poset,
     inclusion_preorder,
     skeleton_poset,
@@ -28,27 +27,6 @@ def im_map(ts):
     if "im_map" not in m._cache:
         m._cache["im_map"] = {t: t.image() for t in m.elements}
     return m._cache["im_map"]
-
-
-def check_im_respects_orders(ts):
-    """Verify a <=_L b implies im(a) <= im(b) and a <=_J b implies subduction.
-
-    Returns (ok, witnesses) where witnesses maps the failed implication name
-    to the first offending pair.  Also confirms im lands onto I(X).
-    """
-    m = ts.adjoin_identity()
-    f = im_map(m)
-    witnesses = {}
-    ok_l, w = check_preorder_morphism(f, green_preorder(m, "L"), inclusion_preorder(m))
-    if not ok_l:
-        witnesses["L_to_inclusion"] = w
-    ok_j, w = check_preorder_morphism(f, green_preorder(m, "J"), subduction_preorder(m))
-    if not ok_j:
-        witnesses["J_to_subduction"] = w
-    onto = set(f.values()) == set(image_set(m).subsets)
-    if not onto:
-        witnesses["im_onto_images"] = None
-    return ok_l and ok_j and onto, witnesses
 
 
 def im_bar(ts):
@@ -123,31 +101,14 @@ class DiagramReport:
 
 def _quotient_arrow(pre, poset):
     """Verdicts for the canonical surjection carrier -> classes."""
-    surjective = len({poset.class_of[a] for a in pre.items}) == len(poset)
-    order_preserving = True
-    for i, a in enumerate(pre.items):
-        rest = pre.rows[i]
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            if not poset.leq_idx(poset.class_of[a], poset.class_of[pre.items[j]]):
-                order_preserving = False
-                break
-        if not order_preserving:
-            break
-    return {"surjective": surjective, "order_preserving": order_preserving}
+    return _class_arrow(pre, poset, [poset.class_of[a] for a in pre.items])
 
 
-def _class_arrow(src_poset, dst_poset, class_map):
-    surjective = len(set(class_map)) == len(dst_poset)
-    order_preserving = all(
-        dst_poset.leq_idx(class_map[i], class_map[j])
-        for i in range(len(src_poset))
-        for j in range(len(src_poset))
-        if src_poset.leq_idx(i, j)
-    )
-    return {"surjective": surjective, "order_preserving": order_preserving}
+def _class_arrow(src, dst, index_map):
+    return {
+        "surjective": len(set(index_map)) == len(dst),
+        "order_preserving": order_violation(src.rows, dst.rows, index_map) is None,
+    }
 
 
 def _fibers_are_class_unions(item_map, src_poset, dst_class_of):
@@ -163,7 +124,10 @@ def verify_diagram(ts):
 
     Arrows: the two quotient collapses out of S^1, im itself, the two
     class-level collapses (L-class to J-class, image set to subduction
-    class), and the induced maps im_bar and im_bar_S.
+    class), and the induced maps im_bar and im_bar_S.  The ``im`` arrow
+    says that im lands onto I(X) and respects both <=_L -> inclusion and
+    <=_J -> subduction; a failed implication leaves its first offending
+    pair in ``witnesses`` under "L_to_inclusion" or "J_to_subduction".
     """
     m = ts.adjoin_identity()
     f = im_map(m)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .core import ResourceLimitError, StateSubset, Transformation, TransformationSemigroup
 from .green import green_poset, green_preorder
 from .maps import im_bar, im_bar_S, im_map
-from .order import NotAMorphismError, induce
+from .order import NotAMorphismError, induce, order_violation
 from .skeleton import image_set, inclusion_poset, skeleton_poset, subduction_leq
 
 
@@ -323,12 +323,7 @@ def functoriality_check(m):
             well_defined = False
             break
         skel_map[ci] = targets.pop()
-    order_preserving = well_defined and all(
-        sqy.leq_idx(skel_map[i], skel_map[j])
-        for i in range(len(sqx))
-        for j in range(len(sqx))
-        if sqx.leq_idx(i, j)
-    )
+    order_preserving = well_defined and order_violation(sqx.rows, sqy.rows, skel_map) is None
     surjective = well_defined and set(skel_map) == set(range(len(sqy)))
     skeleton_map = {
         "well_defined": well_defined,

@@ -272,24 +272,59 @@ def _transitive_reduction(rows):
     return tuple(sorted(covers))
 
 
-def hasse(poset):
-    """Cover relation of a ClassPoset: the transitive reduction of its order."""
-    return poset.covers
+def order_violation(src_rows, dst_rows, f):
+    """First (i, j) with i <= j in the source but not f[i] <= f[j], else None.
+
+    ``f`` lists the target index of every source index.  The up-set of each
+    hit target is pulled back through the fibres of f once, on first use;
+    source item i then fails exactly at the bits of its row outside the
+    pullback of f[i]'s up-set.  The lowest failing i and its lowest failing
+    j are the pair a pairwise scan in index order meets first.
+    """
+    fibre = {}
+    hit = 0
+    for i, t in enumerate(f):
+        fibre[t] = fibre.get(t, 0) | 1 << i
+        hit |= 1 << t
+    allowed = {}
+    for i, row in enumerate(src_rows):
+        t = f[i]
+        pulled = allowed.get(t)
+        if pulled is None:
+            pulled = 0
+            rest = dst_rows[t] & hit
+            while rest:
+                low = rest & -rest
+                pulled |= fibre[low.bit_length() - 1]
+                rest ^= low
+            allowed[t] = pulled
+        bad = row & ~pulled
+        if bad:
+            return i, (bad & -bad).bit_length() - 1
+    return None
+
+
+def is_order_isomorphism(src_rows, dst_rows, f):
+    """Is the index map ``f`` a bijection that preserves and reflects <=?"""
+    if sorted(f) != list(range(len(dst_rows))):
+        return False
+    inverse = [0] * len(f)
+    for i, t in enumerate(f):
+        inverse[t] = i
+    return (
+        order_violation(src_rows, dst_rows, f) is None
+        and order_violation(dst_rows, src_rows, inverse) is None
+    )
 
 
 def check_preorder_morphism(f, src, dst):
     """Does a <=1 b imply f(a) <=2 f(b)?  Returns (ok, first witness pair)."""
     fmap = _as_map(f, src.items)
-    targets = [dst.index(fmap[a]) for a in src.items]
-    for i, a in enumerate(src.items):
-        rest = src.rows[i]
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            if not dst.leq_idx(targets[i], targets[j]):
-                return False, (a, src.items[j])
-    return True, None
+    witness = order_violation(src.rows, dst.rows, [dst.index(fmap[a]) for a in src.items])
+    if witness is None:
+        return True, None
+    i, j = witness
+    return False, (src.items[i], src.items[j])
 
 
 def _as_map(f, items):
@@ -325,14 +360,7 @@ class InducedMap:
 
     def is_order_isomorphism(self):
         """Bijective and order-preserving in both directions."""
-        if sorted(self.class_map) != list(range(len(self.target))):
-            return False
-        m = self.class_map
-        for i in range(len(self.source)):
-            for j in range(len(self.source)):
-                if self.source.leq_idx(i, j) != self.target.leq_idx(m[i], m[j]):
-                    return False
-        return True
+        return is_order_isomorphism(self.source.rows, self.target.rows, self.class_map)
 
 
 def induce(f, src, dst):
@@ -358,10 +386,8 @@ def induce(f, src, dst):
     for a in src.items:
         if class_map[sp.class_of[a]] != tp.class_of[fmap[a]]:
             raise AssertionError(f"quotient square does not commute at {a!r}")
-    for ci in range(len(sp)):
-        for cj in range(len(sp)):
-            if sp.leq_idx(ci, cj) and not tp.leq_idx(class_map[ci], class_map[cj]):
-                raise AssertionError("induced class map is not order-preserving")
+    if order_violation(sp.rows, tp.rows, class_map) is not None:
+        raise AssertionError("induced class map is not order-preserving")
     # preimage of a target class = union of the source classes mapped to it
     for cj in range(len(tp)):
         preimage = {a for a in src.items if tp.class_of[fmap[a]] == cj}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .core import Transformation, TransformationSemigroup
 from .green import ConsistencyError, green_poset, green_preorder
 from .maps import im_bar, im_bar_S
-from .order import induce, poset_isomorphic
+from .order import induce, is_order_isomorphism, poset_isomorphic
 from .skeleton import inclusion_poset, skeleton_poset
 
 
@@ -82,16 +82,6 @@ class CorollaryReport:
         return self.j_is_iso and self.l_is_iso and self.j_found and self.l_found
 
 
-def _is_order_iso(p, q, mapping):
-    if sorted(mapping) != list(range(len(q))):
-        return False
-    for i in range(len(p)):
-        for j in range(len(p)):
-            if p.leq_idx(i, j) != q.leq_idx(mapping[i], mapping[j]):
-                return False
-    return True
-
-
 def corollary_check(ts, max_elements=1_000_000):
     """Verify both isomorphisms carried by the right regular representation.
 
@@ -110,7 +100,7 @@ def corollary_check(ts, max_elements=1_000_000):
         rep_imbar_s.class_map[j_bridge.class_map[ci]]
         for ci in range(len(j_bridge.source))
     )
-    j_is_iso = _is_order_iso(green_poset(m, "J"), skeleton_poset(mt), j_map)
+    j_is_iso = is_order_isomorphism(green_poset(m, "J").rows, skeleton_poset(mt).rows, j_map)
     j_found = poset_isomorphic(green_poset(m, "J"), skeleton_poset(mt)) is not None
 
     l_bridge = induce(bridge, green_preorder(m, "L"), green_preorder(mt, "L"))
@@ -119,7 +109,7 @@ def corollary_check(ts, max_elements=1_000_000):
         rep_imbar.class_map[l_bridge.class_map[ci]]
         for ci in range(len(l_bridge.source))
     )
-    l_is_iso = _is_order_iso(green_poset(m, "L"), inclusion_poset(mt), l_map)
+    l_is_iso = is_order_isomorphism(green_poset(m, "L").rows, inclusion_poset(mt).rows, l_map)
     l_found = poset_isomorphic(green_poset(m, "L"), inclusion_poset(mt)) is not None
 
     return CorollaryReport(rr, j_map, l_map, j_is_iso, l_is_iso, j_found, l_found)

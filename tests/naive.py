@@ -138,3 +138,29 @@ def is_lattice(leq, size):
         if len(greatest) != 1:
             return False
     return True
+
+
+def first_order_violation(src_pairs, dst_pairs, f):
+    """First (i, j), scanning i then j, with i <= j in the source but not f[i] <= f[j].
+
+    Relations are sets of index pairs and ``f`` lists the target of every
+    source index: the plain pairwise check that order preservation means.
+    """
+    n = len(f)
+    for i in range(n):
+        for j in range(n):
+            if (i, j) in src_pairs and (f[i], f[j]) not in dst_pairs:
+                return i, j
+    return None
+
+
+def is_order_isomorphism(src_pairs, dst_pairs, f, dst_size):
+    """Is f a bijection onto range(dst_size) with i <= j iff f[i] <= f[j]?"""
+    if sorted(f) != list(range(dst_size)):
+        return False
+    n = len(f)
+    return all(
+        ((i, j) in src_pairs) == ((f[i], f[j]) in dst_pairs)
+        for i in range(n)
+        for j in range(n)
+    )

@@ -282,6 +282,12 @@ class TestMain:
         assert rc == 3
         assert "resource cap" in capsys.readouterr().err
 
+    def test_cap_below_generator_count_exit_3(self, capsys):
+        # three distinct constant generators already exceed a cap of one
+        rc = cli.main(["analyze", "--input", str(INPUTS / "right_zero.tsg"), "--max-elements", "1"])
+        assert rc == 3
+        assert "resource cap in stage enumerate" in capsys.readouterr().err
+
     def test_failed_verification_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "verification_lines", lambda b: (["x: FAIL"], False))
         assert cli.main(["verify", "--input", CHAIN]) == 1

@@ -8,7 +8,6 @@ from greenskel import (
     Transformation,
     TransformationSemigroup,
     apply_mask,
-    compose,
 )
 from greenskel.catalog import chain_collapse, full_tmonoid, nonlattice, trivial
 
@@ -55,7 +54,6 @@ class TestTransformation:
         t = Transformation.from_one_based([3, 3, 2])
         # x^(st) = (x^s)^t
         assert (s * t).images == tuple(t.images[x] for x in s.images)
-        assert compose(s, t) == s * t
 
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatchError):
@@ -177,6 +175,14 @@ class TestGenerate:
                 4, list(full_tmonoid(4).generators), max_elements=10
             )
         assert info.value.stage == "enumerate"
+
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_element_cap_counts_generators(self, cap):
+        constants = [Transformation((x, x, x)) for x in range(3)]
+        with pytest.raises(ResourceLimitError) as info:
+            TransformationSemigroup.generate(3, constants, max_elements=cap)
+        assert info.value.stage == "enumerate"
+        assert len(TransformationSemigroup.generate(3, constants, max_elements=3)) == 3
 
     def test_generator_domain_checked(self):
         with pytest.raises(DomainMismatchError):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from greenskel import (
     MalformedPreorderError,
@@ -7,7 +7,6 @@ from greenskel import (
     Preorder,
     check_preorder_morphism,
     green_preorder,
-    hasse,
     im_map,
     induce,
     lattice_violation,
@@ -16,7 +15,7 @@ from greenskel import (
     subduction_preorder,
 )
 from greenskel.catalog import chain_collapse
-from greenskel.order import transitive_closure_rows
+from greenskel.order import is_order_isomorphism, order_violation, transitive_closure_rows
 
 import naive
 
@@ -40,6 +39,49 @@ def relations(max_n=6):
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12
         ).map(lambda pairs: (n, pairs))
     )
+
+
+def closed_rows(n, pairs):
+    rows = [0] * n
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    return transitive_closure_rows(rows)
+
+
+def pair_set(rows):
+    return {(i, j) for i, row in enumerate(rows) for j in range(len(rows)) if row >> j & 1}
+
+
+@st.composite
+def preorder_maps(draw):
+    """(source rows, target rows, map) for a random or constant map between preorders."""
+    src_n, src_pairs = draw(relations())
+    dst_n, dst_pairs = draw(relations())
+    if draw(st.booleans()):
+        f = [draw(st.integers(0, dst_n - 1))] * src_n
+    else:
+        f = draw(st.lists(st.integers(0, dst_n - 1), min_size=src_n, max_size=src_n))
+    return closed_rows(src_n, src_pairs), closed_rows(dst_n, dst_pairs), f
+
+
+@st.composite
+def relabelings(draw):
+    """(rows, target rows, map): a relabeling of a preorder, as is or spoiled."""
+    n, pairs = draw(relations())
+    rows = closed_rows(n, pairs)
+    perm = draw(st.permutations(range(n)))
+    moved = [0] * n
+    for i, j in pair_set(rows):
+        moved[perm[i]] |= 1 << perm[j]
+    spoil = draw(st.sampled_from(("none", "extra pair", "random map")))
+    f = list(perm)
+    if spoil == "extra pair":
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        moved[a] |= 1 << b
+        moved = transitive_closure_rows(moved)
+    elif spoil == "random map":
+        f = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return rows, moved, f
 
 
 class TestPreorder:
@@ -104,7 +146,7 @@ class TestQuotient:
     def test_hasse_of_chain(self):
         p = preorder_from_pairs("abc", [("a", "b"), ("b", "c")])
         q = quotient(p)
-        assert hasse(q) == ((0, 1), (1, 2))
+        assert q.covers == ((0, 1), (1, 2))
 
     def test_hasse_drops_transitive_edge(self):
         p = preorder_from_pairs("abc", [("a", "b"), ("b", "c"), ("a", "c")])
@@ -191,6 +233,35 @@ class TestMorphism:
         out = induce({x: x for x in "abc"}, p, p)
         assert out.is_order_isomorphism()
         assert out.apply("b") == out.source.class_of["b"]
+
+
+class TestOrderViolation:
+    @given(preorder_maps())
+    @example(([0b1], [0b1], [0]))  # one item on each side
+    @example(([0b11, 0b10], [0b01, 0b10], [0, 1]))  # not monotone
+    @example(([0b11, 0b10], [0b111, 0b110, 0b100], [0, 2]))  # monotone, not surjective
+    @example(([0b11, 0b10], [0b1], [0, 0]))  # constant onto a one-item target
+    @settings(max_examples=200)
+    def test_first_witness_matches_pairwise_oracle(self, case):
+        src_rows, dst_rows, f = case
+        want = naive.first_order_violation(pair_set(src_rows), pair_set(dst_rows), f)
+        assert order_violation(src_rows, dst_rows, f) == want
+        src = Preorder([f"a{i}" for i in range(len(src_rows))], src_rows)
+        dst = Preorder([f"b{t}" for t in range(len(dst_rows))], dst_rows)
+        fmap = {f"a{i}": f"b{t}" for i, t in enumerate(f)}
+        ok, witness = check_preorder_morphism(fmap, src, dst)
+        assert ok == (want is None)
+        assert witness == (None if ok else (f"a{want[0]}", f"a{want[1]}"))
+
+    @given(relabelings())
+    @example(([0b1], [0b1], [0]))  # one item on each side
+    @example(([0b1], [0b11, 0b10], [0]))  # not onto the larger target
+    @example(([0b11, 0b10], [0b11, 0b10], [0, 0]))  # constant, not injective
+    @settings(max_examples=200)
+    def test_isomorphism_matches_iff_definition(self, case):
+        src_rows, dst_rows, f = case
+        want = naive.is_order_isomorphism(pair_set(src_rows), pair_set(dst_rows), f, len(dst_rows))
+        assert is_order_isomorphism(src_rows, dst_rows, f) == want
 
 
 class TestIsomorphism:

@@ -7,7 +7,6 @@ from greenskel import (
     Transformation,
     TransformationSemigroup,
     admissible_partitions,
-    check_im_respects_orders,
     corollary_check,
     d_classes,
     functoriality_check,
@@ -115,9 +114,9 @@ def test_subduction_facts(ts):
 @given(semigroups())
 def test_im_and_diagram(ts):
     m = ts.adjoin_identity()
-    ok, witnesses = check_im_respects_orders(m)
-    assert ok and witnesses == {}
-    assert verify_diagram(m).passed
+    report = verify_diagram(m)
+    assert all(report.arrows["im"].values()) and report.witnesses == {}
+    assert report.passed
 
 
 @settings(max_examples=30, deadline=None)

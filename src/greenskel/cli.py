@@ -128,7 +128,14 @@ def serialize(doc):
 def build_semigroup(doc, max_elements=1_000_000):
     gens = [Transformation.from_one_based(g) for g in doc.generators]
     ts = TransformationSemigroup.generate(doc.n, gens, max_elements)
-    return ts.adjoin_identity() if doc.monoid else ts
+    if not doc.monoid:
+        return ts
+    m = ts.adjoin_identity()
+    if len(m) > max_elements:
+        raise ResourceLimitError(
+            "enumerate", f"element cap {max_elements} exceeded by adjoining the identity"
+        )
+    return m
 
 
 @dataclass

@@ -389,14 +389,14 @@ def induce(f, src, dst):
     if order_violation(sp.rows, tp.rows, class_map) is not None:
         raise AssertionError("induced class map is not order-preserving")
     # preimage of a target class = union of the source classes mapped to it
-    for cj in range(len(tp)):
-        preimage = {a for a in src.items if tp.class_of[fmap[a]] == cj}
-        from_classes = set()
-        for ci, target in enumerate(class_map):
-            if target == cj:
-                from_classes.update(sp.classes[ci])
-        if preimage != from_classes:
-            raise AssertionError("target-class preimage is not a union of source classes")
+    preimages = {}
+    for a in src.items:
+        preimages.setdefault(tp.class_of[fmap[a]], set()).add(a)
+    from_classes = {}
+    for ci, target in enumerate(class_map):
+        from_classes.setdefault(target, set()).update(sp.classes[ci])
+    if preimages != from_classes:
+        raise AssertionError("target-class preimage is not a union of source classes")
     return InducedMap(sp, tp, class_map, fmap)
 
 

@@ -22,7 +22,8 @@ class RegRep:
     """The base semigroup together with its right-multiplication action.
 
     States of ``rep`` are the elements of S^1, identity first and the rest
-    in canonical element order; ``state_of`` is that numbering.
+    in canonical element order; ``state_of`` is that numbering.  ``rho_of``
+    holds rho(s) for every s in S^1, built once.
     """
 
     base: TransformationSemigroup
@@ -30,10 +31,11 @@ class RegRep:
     carrier: tuple
     state_of: dict
     rep: TransformationSemigroup
+    rho_of: dict
 
     def rho(self, s):
         """The transformation of the state set S^1 representing s."""
-        return Transformation(tuple(self.state_of[a * s] for a in self.carrier))
+        return self.rho_of[s]
 
 
 def right_regular(ts, max_elements=1_000_000):
@@ -46,15 +48,21 @@ def right_regular(ts, max_elements=1_000_000):
     one = m.identity()
     carrier = (one,) + tuple(t for t in m.elements if t != one)
     state_of = {a: i for i, a in enumerate(carrier)}
-    out = RegRep(ts, m, carrier, state_of, None)
-    gens = tuple(out.rho(g) for g in ts.generators)
+    # rho(s) sends state a to state a*s, multiplied here on image tuples
+    state_of_images = {a.images: i for a, i in state_of.items()}
+    rho_of = {
+        s: Transformation(
+            tuple(state_of_images[tuple(s.images[x] for x in a.images)] for a in carrier)
+        )
+        for s in m.elements
+    }
+    gens = tuple(rho_of[g] for g in ts.generators)
     rep = TransformationSemigroup.generate(len(carrier), gens, max_elements)
-    if set(rep.elements) != {out.rho(s) for s in ts.elements}:
+    if set(rep.elements) != {rho_of[s] for s in ts.elements}:
         raise ConsistencyError("representation does not close onto the represented elements")
     if len(rep.elements) != len(ts.elements):
         raise ConsistencyError("right regular representation is not faithful")
-    out.rep = rep
-    return out
+    return RegRep(ts, m, carrier, state_of, rep, rho_of)
 
 
 @dataclass
@@ -92,9 +100,7 @@ def corollary_check(ts, max_elements=1_000_000):
     rr = right_regular(ts, max_elements)
     m = rr.monoid
     mt = rr.rep.adjoin_identity()
-    bridge = {s: rr.rho(s) for s in m.elements}
-
-    j_bridge = induce(bridge, green_preorder(m, "J"), green_preorder(mt, "J"))
+    j_bridge = induce(rr.rho_of, green_preorder(m, "J"), green_preorder(mt, "J"))
     rep_imbar_s = im_bar_S(mt)
     j_map = tuple(
         rep_imbar_s.class_map[j_bridge.class_map[ci]]
@@ -103,7 +109,7 @@ def corollary_check(ts, max_elements=1_000_000):
     j_is_iso = is_order_isomorphism(green_poset(m, "J").rows, skeleton_poset(mt).rows, j_map)
     j_found = poset_isomorphic(green_poset(m, "J"), skeleton_poset(mt)) is not None
 
-    l_bridge = induce(bridge, green_preorder(m, "L"), green_preorder(mt, "L"))
+    l_bridge = induce(rr.rho_of, green_preorder(m, "L"), green_preorder(mt, "L"))
     rep_imbar = im_bar(mt)
     l_map = tuple(
         rep_imbar.class_map[l_bridge.class_map[ci]]

@@ -164,3 +164,33 @@ def is_order_isomorphism(src_pairs, dst_pairs, f, dst_size):
         for i in range(n)
         for j in range(n)
     )
+
+
+def validate(m):
+    """The morphism laws checked pair by pair, the way they read.
+
+    Same checks, order and witnesses as ``greenskel.validate``, but the
+    homomorphism law is scanned over all |S|^2 pairs in canonical order.
+    """
+    S = m.source.elements
+    hit_states = set(m.state_map)
+    if len(hit_states) != m.target.n:
+        return False, ("state_map_not_onto", min(set(range(m.target.n)) - hit_states))
+    for s in S:
+        if m.elem_map[s] not in m.target:
+            return False, ("elem_map_not_into_target", s)
+    hit = {m.elem_map[s] for s in S}
+    for t in m.target.elements:
+        if t not in hit:
+            return False, ("elem_map_not_onto", t)
+    for s in S:
+        for t in S:
+            if m.elem_map[s * t] != m.elem_map[s] * m.elem_map[t]:
+                return False, ("homomorphism", (s, t))
+    for s in S:
+        for x in range(m.source.n):
+            if m.state_map[s(x)] != m.elem_map[s](m.state_map[x]):
+                return False, ("compatibility", (x, s))
+    if m.source.has_identity and not m.elem_map[m.source.identity()].is_identity():
+        return False, ("identity_condition", m.source.identity())
+    return True, None

@@ -288,6 +288,16 @@ class TestMain:
         assert rc == 3
         assert "resource cap in stage enumerate" in capsys.readouterr().err
 
+    def test_adjoined_identity_counts_against_cap_exit_3(self, tmp_path, capsys):
+        # three constant maps fill a cap of three; S^1 has four elements
+        doc = tmp_path / "constants.tsg"
+        doc.write_text("states: 3\nmonoid: true\ngen: 1 1 1\ngen: 2 2 2\ngen: 3 3 3\n")
+        rc = cli.main(["analyze", "--input", str(doc), "--max-elements", "3"])
+        assert rc == 3
+        assert "resource cap in stage enumerate" in capsys.readouterr().err
+        assert cli.main(["analyze", "--input", str(doc), "--max-elements", "4"]) == 0
+        capsys.readouterr()
+
     def test_failed_verification_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "verification_lines", lambda b: (["x: FAIL"], False))
         assert cli.main(["verify", "--input", CHAIN]) == 1

@@ -1,9 +1,13 @@
+import random
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from greenskel import (
     AdmissiblePartition,
     ResourceLimitError,
     Transformation,
+    TransformationSemigroup,
     TsMorphism,
     admissible_partitions,
     functoriality_check,
@@ -14,6 +18,7 @@ from greenskel import (
 from greenskel.catalog import chain_collapse, full_tmonoid, right_zero, trivial
 
 import naive
+from conftest import random_semigroup, sample_semigroups
 
 
 def identity_morphism(ts):
@@ -86,6 +91,113 @@ class TestValidate:
             TsMorphism(ts, ts, (0, 1, 7), {s: s for s in ts.elements})
         with pytest.raises(ValueError):
             TsMorphism(ts, ts, (0, 1, 2), {})
+
+
+SOURCE_KINDS = ("generated", "first_generator_only", "not_closed")
+
+
+def perturbed_quotient(ts, blocks, kind, swap, trim):
+    """A quotient morphism of ts, possibly broken, on a source of the given kind.
+
+    ``kind`` picks the source: ts itself, ts rebuilt with only its first
+    declared generator, or ts without its last element (a set that need
+    not be closed).  ``swap`` names two source elements whose images are
+    exchanged; ``trim`` drops elem_map entries outside the source.  The
+    target is the image of the source, so both surjectivity checks pass
+    and the homomorphism law is always reached.
+    """
+    if kind == "first_generator_only":
+        source = TransformationSemigroup(ts.n, ts.generators[:1], ts.elements)
+    elif kind == "not_closed":
+        source = TransformationSemigroup(ts.n, ts.generators, ts.elements[:-1])
+    else:
+        source = ts
+    _, q = quotient_ts(ts, blocks)
+    elem_map = dict(q.elem_map)
+    if swap is not None:
+        a, b = (source.elements[i % len(source)] for i in swap)
+        elem_map[a], elem_map[b] = elem_map[b], elem_map[a]
+    if trim:
+        elem_map = {s: elem_map[s] for s in source.elements}
+    target = TransformationSemigroup(
+        q.target.n, q.target.generators, {elem_map[s] for s in source.elements}
+    )
+    return TsMorphism(source, target, q.state_map, elem_map)
+
+
+def outcome(check, m):
+    """The (ok, violation) pair, or the type of the exception raised."""
+    try:
+        return check(m)
+    except Exception as err:
+        return type(err)
+
+
+@st.composite
+def morphism_cases(draw):
+    ts = random_semigroup(draw(st.randoms(use_true_random=False)), cap=60)
+    assume(ts is not None)
+    kind = draw(st.sampled_from(SOURCE_KINDS))
+    assume(kind != "not_closed" or len(ts) > 1)
+    blocks = draw(st.sampled_from(admissible_partitions(ts))).blocks
+    swap = draw(st.none() | st.tuples(st.integers(0, 59), st.integers(0, 59)))
+    return perturbed_quotient(ts, blocks, kind, swap, draw(st.booleans()))
+
+
+class TestValidateDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(morphism_cases())
+    def test_matches_naive(self, m):
+        assert outcome(validate, m) == outcome(naive.validate, m)
+
+    def test_corpus_matches_naive(self):
+        rng = random.Random(5)
+        seen = set()
+        for ts in sample_semigroups(seed=5, count=40):
+            for p in admissible_partitions(ts):
+                for kind in SOURCE_KINDS:
+                    if kind == "not_closed" and len(ts) == 1:
+                        continue
+                    swap = (rng.randrange(60), rng.randrange(60)) if rng.random() < 0.5 else None
+                    m = perturbed_quotient(ts, p.blocks, kind, swap, rng.random() < 0.5)
+                    got = outcome(validate, m)
+                    assert got == outcome(naive.validate, m), (kind, p.blocks, swap)
+                    if isinstance(got, type):
+                        seen.add(got.__name__)
+                    else:
+                        seen.add(got[1][0] if got[1] else "ok")
+        # passing, failing and non-closed (KeyError) morphisms all occurred
+        assert {"ok", "homomorphism", "KeyError"} <= seen
+
+    def test_declared_generators_miss_elements(self):
+        # T[1 3 3] alone generates {T[1 3 3]}; the other elements must join G
+        ts = chain_collapse()
+        source = TransformationSemigroup(ts.n, ts.generators[:1], ts.elements)
+        _, q = quotient_ts(ts, AdmissiblePartition(((0, 2), (1,))))
+        m = TsMorphism(source, q.target, q.state_map, q.elem_map)
+        assert validate(m) == naive.validate(m) == (True, None)
+        t2 = Transformation.from_one_based((3, 1, 3))
+        bad_map = dict(q.elem_map)
+        bad_map[t2] = q.elem_map[ts.identity()]
+        bad = TsMorphism(source, q.target, q.state_map, bad_map)
+        assert validate(bad) == naive.validate(bad)
+        assert validate(bad)[1][0] == "homomorphism"
+
+    def test_non_closed_source_raises_like_naive(self):
+        # T[3 1 3] squared is T[3 3 3], which this element set leaves out
+        ts = chain_collapse()
+        t2, t3 = Transformation.from_one_based((3, 1, 3)), Transformation.from_one_based((3, 3, 3))
+        source = TransformationSemigroup(ts.n, [t2], [t2, ts.identity()])
+        assert t2 * t2 == t3 and t3 not in source
+        _, q = quotient_ts(ts, AdmissiblePartition(((0, 2), (1,))))
+        target = TransformationSemigroup(2, [], {q.elem_map[s] for s in source})
+        full = TsMorphism(source, target, q.state_map, q.elem_map)
+        assert validate(full) == naive.validate(full)
+        trimmed = TsMorphism(source, target, q.state_map, {s: q.elem_map[s] for s in source})
+        with pytest.raises(KeyError):
+            validate(trimmed)
+        with pytest.raises(KeyError):
+            naive.validate(trimmed)
 
 
 class TestPartitions:

@@ -9,8 +9,9 @@ Input grammar (UTF-8, LF or CRLF, `#` starts a comment):
     extended: false   # optional: also adjoin missing singleton subsets
 
 Subcommands: analyze, dot, verify, regrep, functorial.  Exit codes:
-0 all verifications passed, 1 verification counterexample, 2 input error,
-3 resource cap exceeded.
+0 all verifications passed, 1 verification counterexample or internal
+verification failure (a broken invariant, reported without a traceback),
+2 input error, 3 resource cap exceeded or memory exhausted.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .core import ResourceLimitError, StateSubset, Transformation, Transformatio
 from .green import ConsistencyError, d_classes, eggboxes, green_poset
 from .maps import im_bar_S, verify_diagram
 from .morphisms import admissible_partitions, functoriality_check, quotient_ts, validate
-from .order import MalformedPreorderError, lattice_violation
+from .order import MalformedPreorderError, NotAMorphismError, lattice_violation
 from .skeleton import (
     extended_image_set,
     image_set,
@@ -548,7 +549,10 @@ def main(argv=None):
     except ResourceLimitError as err:
         print(f"resource cap in stage {err.stage}: {err}", file=sys.stderr)
         return 3
-    except ConsistencyError as err:
+    except MemoryError:
+        print("resource cap in stage memory: out of memory", file=sys.stderr)
+        return 3
+    except (ConsistencyError, MalformedPreorderError, NotAMorphismError, AssertionError) as err:
         print(f"internal verification failure: {err}", file=sys.stderr)
         return 1
 

@@ -181,7 +181,6 @@ class TransformationSemigroup:
                 raise DomainMismatchError(f"element {t} does not act on {n} states")
         self._index = {t: i for i, t in enumerate(self.elements)}
         self.has_identity = Transformation.identity(n) in self._index
-        self._table = None
         self._one = None
         self._cache = {}
 
@@ -250,15 +249,35 @@ class TransformationSemigroup:
             self._one = S1
         return self._one
 
-    def table(self):
-        """Multiplication table on canonical indices; built once."""
-        if self._table is None:
-            els = [t.images for t in self.elements]
-            index = {imgs: i for i, imgs in enumerate(els)}
-            self._table = [
-                [index[tuple(t[x] for x in s)] for t in els] for s in els
-            ]
-        return self._table
+    def generating_images(self):
+        """Image tuples of a generating set, declared generators first.
+
+        The declared generators that lie in the semigroup start the set.  A
+        breadth-first search of right products by the set found so far
+        grows from it; an element the search never reaches joins the set,
+        in canonical order, and the search goes on from it.  So every
+        element is a product of the returned tuples, even when the declared
+        generators do not generate ``elements``.
+        """
+        members = {t.images for t in self.elements}
+        gens = [g.images for g in self.generators if g.images in members]
+        reached = set(gens)
+        frontier = list(gens)
+        for s in self.elements:
+            while frontier:
+                fresh = []
+                for u in frontier:
+                    for g in gens:
+                        w = tuple(g[x] for x in u)
+                        if w in members and w not in reached:
+                            reached.add(w)
+                            fresh.append(w)
+                frontier = fresh
+            if s.images not in reached:
+                gens.append(s.images)
+                reached.add(s.images)
+                frontier = [s.images]
+        return gens
 
     def is_closed(self):
         els = set(self.elements)

@@ -1,65 +1,49 @@
-"""Green's preorders on a finite transformation semigroup, via principal ideals.
+"""Green's preorders on a finite transformation semigroup, via Cayley graphs.
 
 All relations live on the monoid S^1 (the identity is adjoined when missing).
-Principal ideals are computed literally from the multiplication table and
-held as bit masks over the canonical element numbering, so the preorder
-tests are plain mask inclusions.
+Over a generating set G, the right Cayley graph has the edges s -> s*g and
+the left one s -> g*s.  Then s <=_R t exactly when t reaches s in the right
+graph (s lies in t*S^1), <=_L is reachability in the left graph and <=_J in
+their union, so each preorder is the reflexive-transitive closure of a
+reversed Cayley graph: |S^1|*|G| products, no multiplication table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .order import Preorder, quotient_cached
+from .order import Preorder, quotient_cached, transitive_closure_rows
 
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
-def ideal_masks(ts):
-    """(right, left, two_sided) principal-ideal masks per element of S^1.
+def _reversed_cayley_rows(m, which):
+    """Bit t of row s when t*g = s (R), g*t = s (L) or either (J), g in G.
 
-    right[i] covers s_i * S^1, left[i] covers S^1 * s_i, and the two-sided
-    mask is the union of (u * s_i) * S^1 over all u, i.e. S^1 * s_i * S^1.
+    A product outside the elements raises KeyError, as it must for some
+    s and g when the element set is not closed.
     """
-    m = ts.adjoin_identity()
-    if "ideal_masks" in m._cache:
-        return m._cache["ideal_masks"]
-    table = m.table()
-    size = len(m.elements)
-    right = [0] * size
-    left = [0] * size
-    for i in range(size):
-        row = table[i]
-        acc = 0
-        for j in range(size):
-            acc |= 1 << row[j]
-        right[i] = acc
-    for j in range(size):
-        acc = 0
-        for i in range(size):
-            acc |= 1 << table[i][j]
-        left[j] = acc
-    both = [0] * size
-    for i in range(size):
-        acc = 0
-        rest = left[i]
-        while rest:
-            low = rest & -rest
-            acc |= right[low.bit_length() - 1]
-            rest ^= low
-        both[i] = acc
-    masks = (right, left, both)
-    m._cache["ideal_masks"] = masks
-    return masks
+    index = {t.images: i for i, t in enumerate(m.elements)}
+    gens = m.generating_images()
+    rows = [0] * len(index)
+    for s, i in index.items():
+        bit = 1 << i
+        for g in gens:
+            if which != "L":
+                rows[index[tuple(g[x] for x in s)]] |= bit
+            if which != "R":
+                rows[index[tuple(s[x] for x in g)]] |= bit
+    return rows
 
 
 def green_preorder(ts, which):
     """The preorder <=_K on S^1 for K in {"R", "L", "J", "H"}.
 
     s <=_K t holds when the principal K-ideal of s is contained in that of
-    t; <=_H is the meet of <=_L and <=_R.
+    t, i.e. when t reaches s in the K Cayley graph; <=_H is the meet of
+    <=_L and <=_R.
     """
     m = ts.adjoin_identity()
     key = ("green_preorder", which)
@@ -69,18 +53,10 @@ def green_preorder(ts, which):
         lrows = green_preorder(m, "L").rows
         rrows = green_preorder(m, "R").rows
         rows = [a & b for a, b in zip(lrows, rrows)]
+    elif which in ("R", "L", "J"):
+        rows = transitive_closure_rows(_reversed_cayley_rows(m, which))
     else:
-        try:
-            masks = ideal_masks(m)[("R", "L", "J").index(which)]
-        except ValueError:
-            raise ValueError(f"unknown Green relation {which!r}") from None
-        rows = []
-        for mi in masks:
-            acc = 0
-            for j, mj in enumerate(masks):
-                if mi & ~mj == 0:
-                    acc |= 1 << j
-            rows.append(acc)
+        raise ValueError(f"unknown Green relation {which!r}")
     p = Preorder(m.elements, rows)
     m._cache[key] = p
     return p

@@ -59,36 +59,6 @@ class TsMorphism:
         )
 
 
-def _generating_images(ts, members):
-    """Image tuples of a generating set of ts, declared generators first.
-
-    ``members`` holds the image tuples of ts.elements.  A breadth-first
-    search of right products by the set found so far grows from it; an
-    element the search never reaches joins the set, in canonical order,
-    and the search goes on from it.  So every element is a product of the
-    returned tuples, even when the declared generators do not generate
-    ``elements``.
-    """
-    gens = [g.images for g in ts.generators if g.images in members]
-    reached = set(gens)
-    frontier = list(gens)
-    for s in ts.elements:
-        while frontier:
-            fresh = []
-            for u in frontier:
-                for g in gens:
-                    w = tuple(g[x] for x in u)
-                    if w in members and w not in reached:
-                        reached.add(w)
-                        fresh.append(w)
-            frontier = fresh
-        if s.images not in reached:
-            gens.append(s.images)
-            reached.add(s.images)
-            frontier = [s.images]
-    return gens
-
-
 def _homomorphism_violation(m):
     """The first (s, t) in canonical order with phi(st) != phi(s)phi(t), or None.
 
@@ -100,7 +70,7 @@ def _homomorphism_violation(m):
     elem_map does not cover).
     """
     phi = {s.images: m.elem_map[s].images for s in m.source.elements}
-    gens = [(g, phi[g]) for g in _generating_images(m.source, phi)]
+    gens = [(g, phi[g]) for g in m.source.generating_images()]
     if all(
         phi.get(tuple(g[x] for x in s)) == tuple(fg[y] for y in fs)
         for s, fs in phi.items()
@@ -193,15 +163,16 @@ def _partitions(n):
 
 
 def admissible_partitions(ts, max_states=8):
-    """Every state partition whose blocks are stable under all generators.
+    """Every state partition whose blocks are stable under all elements.
 
-    Stability under generators suffices: induced block maps compose.  The
-    one-block and discrete partitions are always included.
+    Stability under a generating set suffices: induced block maps compose.
+    The one-block and discrete partitions are always included.
     """
     if ts.n > max_states:
         raise ResourceLimitError(
             "partitions", f"partition enumeration capped at {max_states} states"
         )
+    gens = ts.generating_images()
     out = []
     for blocks in _partitions(ts.n):
         block_of = {}
@@ -209,8 +180,8 @@ def admissible_partitions(ts, max_states=8):
             for x in block:
                 block_of[x] = b
         if all(
-            len({block_of[g(x)] for x in block}) == 1
-            for g in ts.generators
+            len({block_of[g[x]] for x in block}) == 1
+            for g in gens
             for block in blocks
         ):
             out.append(AdmissiblePartition(blocks))

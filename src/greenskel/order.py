@@ -1,8 +1,9 @@
 """Finite preorders, their partial-order quotients, and maps between them.
 
 Relations are stored densely: ``rows[i]`` is a bit mask whose bit j says
-``items[i] <= items[j]``.  Carriers at the scales handled here are at most
-a few thousand items, and only once (the J preorder on S^1).
+``items[i] <= items[j]``.  A relation given by its generating edges, such
+as a Cayley graph, is closed by ``transitive_closure_rows``: Tarjan's
+strongly connected components, then one pass over their condensation.
 """
 
 from __future__ import annotations
@@ -81,26 +82,6 @@ class Preorder:
                 )
 
 
-def transitive_closure_rows(rows):
-    """Reflexive-transitive closure of a relation given as bit-mask rows."""
-    n = len(rows)
-    closed = [row | 1 << i for i, row in enumerate(rows)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = closed[i]
-            rest = acc
-            while rest:
-                low = rest & -rest
-                acc |= closed[low.bit_length() - 1]
-                rest ^= low
-            if acc != closed[i]:
-                closed[i] = acc
-                changed = True
-    return closed
-
-
 def _tarjan_sccs(rows):
     """Strongly connected components of the relation digraph, iteratively."""
     n = len(rows)
@@ -153,6 +134,35 @@ def _tarjan_sccs(rows):
                         break
                 ncomp += 1
     return ncomp, comp_of
+
+
+def transitive_closure_rows(rows):
+    """Reflexive-transitive closure of a relation given as bit-mask rows.
+
+    Tarjan numbers each strongly connected component after every component
+    it reaches, so one ascending pass over the components finds the reach
+    of each from the reaches already found.  Members of a component share
+    one row.
+    """
+    ncomp, comp_of = _tarjan_sccs(rows)
+    members = [0] * ncomp
+    for i, c in enumerate(comp_of):
+        members[c] |= 1 << i
+    reach = [0] * ncomp
+    for c in range(ncomp):
+        out = 0
+        rest = members[c]
+        while rest:
+            low = rest & -rest
+            out |= rows[low.bit_length() - 1]
+            rest ^= low
+        acc = members[c]
+        rest = out & ~acc
+        while rest:
+            acc |= reach[comp_of[(rest & -rest).bit_length() - 1]]
+            rest &= ~acc
+        reach[c] = acc
+    return [reach[c] for c in comp_of]
 
 
 @dataclass

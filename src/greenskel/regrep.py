@@ -56,7 +56,7 @@ def right_regular(ts, max_elements=1_000_000):
         )
         for s in m.elements
     }
-    gens = tuple(rho_of[g] for g in ts.generators)
+    gens = tuple(rho_of[Transformation(g)] for g in ts.generating_images())
     rep = TransformationSemigroup.generate(len(carrier), gens, max_elements)
     if set(rep.elements) != {rho_of[s] for s in ts.elements}:
         raise ConsistencyError("representation does not close onto the represented elements")

@@ -106,6 +106,26 @@ def reachable(rows, i):
     return seen
 
 
+def transitive_closure_rows(rows):
+    """Reflexive-transitive closure of bit-mask rows by plain fixpoint iteration."""
+    n = len(rows)
+    closed = [row | 1 << i for i, row in enumerate(rows)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = closed[i]
+            rest = acc
+            while rest:
+                low = rest & -rest
+                acc |= closed[low.bit_length() - 1]
+                rest ^= low
+            if acc != closed[i]:
+                closed[i] = acc
+                changed = True
+    return closed
+
+
 def all_partitions(items):
     """Every set partition, by brute-force block assignment."""
     items = list(items)

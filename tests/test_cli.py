@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from greenskel import ResourceLimitError
+from greenskel import MalformedPreorderError, NotAMorphismError, ResourceLimitError
 from greenskel.cli import (
     InputDocument,
     InputError,
@@ -302,6 +302,38 @@ class TestMain:
         monkeypatch.setattr(cli, "verification_lines", lambda b: (["x: FAIL"], False))
         assert cli.main(["verify", "--input", CHAIN]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "fault, code, line",
+        [
+            pytest.param(
+                MalformedPreorderError("relation not reflexive at 'a'"),
+                1,
+                "internal verification failure: relation not reflexive at 'a'",
+                id="malformed-preorder",
+            ),
+            pytest.param(
+                NotAMorphismError(("a", "b")),
+                1,
+                "internal verification failure: 'a' <= 'b' in the source but the images are unrelated",
+                id="not-a-morphism",
+            ),
+            pytest.param(
+                AssertionError("induced class map is not order-preserving"),
+                1,
+                "internal verification failure: induced class map is not order-preserving",
+                id="assertion",
+            ),
+            pytest.param(MemoryError(), 3, "resource cap in stage memory: out of memory", id="memory"),
+        ],
+    )
+    def test_internal_fault_exit_code(self, capsys, monkeypatch, fault, code, line):
+        def fail(m):
+            raise fault
+
+        monkeypatch.setattr(cli, "verify_diagram", fail)
+        assert cli.main(["verify", "--input", CHAIN]) == code
+        assert capsys.readouterr().err == line + "\n"
 
 
 class TestDeterminism:

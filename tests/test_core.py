@@ -204,12 +204,16 @@ class TestSemigroup:
         assert m.adjoin_identity() is m
         assert m.identity() in m
 
-    def test_table_matches_multiplication(self):
-        m = chain_collapse()
-        table = m.table()
-        for i, s in enumerate(m.elements):
-            for j, t in enumerate(m.elements):
-                assert m.elements[table[i][j]] == s * t
+    def test_generating_images_declared_first_and_generating(self, fixtures):
+        for ts in fixtures.values():
+            outside = Transformation(tuple(range(ts.n))[::-1])
+            for declared in (ts.generators, ts.generators[:1], (outside,) + ts.generators[:1]):
+                src = TransformationSemigroup(ts.n, declared, ts.elements)
+                gens = src.generating_images()
+                inside = [g.images for g in src.generators if g in src]
+                assert gens[: len(inside)] == inside
+                assert len(set(gens)) == len(gens)
+                assert naive.close(gens) == {t.images for t in src.elements}
 
     def test_full_t3_size(self):
         assert len(full_tmonoid(3)) == 27

@@ -5,8 +5,8 @@ from greenskel import (
     eggboxes,
     green_poset,
     green_preorder,
-    ideal_masks,
 )
+from greenskel.core import TransformationSemigroup
 from greenskel.catalog import (
     chain_collapse,
     collapse_motif,
@@ -25,41 +25,46 @@ def named(monoid, one_based):
     ]
 
 
+def down_set(p, t):
+    """Members s with s <= t: the principal ideal of t in a Green preorder."""
+    j = p.index(t)
+    return {p.items[i] for i, row in enumerate(p.rows) if row >> j & 1}
+
+
 class TestIdeals:
+    """Principal ideals, read off as down-sets of Green's preorders."""
+
     def test_chain_collapse_two_sided_ideals(self):
         m = chain_collapse()
-        _, _, both = ideal_masks(m)
+        j = green_preorder(m, "J")
         t1, t2, t3 = (named(m, g) for g in ([1, 3, 3], [3, 1, 3], [3, 3, 3]))
-
-        def members(mask):
-            return {m.elements[i] for i in range(len(m)) if mask >> i & 1}
-
-        assert members(both[m.index(t1)]) == {t1, t2, t3}
-        assert members(both[m.index(t2)]) == {t2, t3}
-        assert members(both[m.index(t3)]) == {t3}
-        assert members(both[m.index(m.identity())]) == set(m.elements)
+        assert down_set(j, t1) == {t1, t2, t3}
+        assert down_set(j, t2) == {t2, t3}
+        assert down_set(j, t3) == {t3}
+        assert down_set(j, m.identity()) == set(m.elements)
 
     def test_chain_collapse_left_ideal_chain(self):
         m = chain_collapse()
-        _, left, _ = ideal_masks(m)
+        l = green_preorder(m, "L")
         t1, t2, t3 = (named(m, g) for g in ([1, 3, 3], [3, 1, 3], [3, 3, 3]))
-        chain = [left[m.index(t)] for t in (t3, t2, t1)] + [left[m.index(m.identity())]]
+        chain = (t3, t2, t1, m.identity())
         for small, big in zip(chain, chain[1:]):
-            assert small & ~big == 0 and small != big
+            assert l.leq(small, big) and not l.leq(big, small)
+            assert down_set(l, small) < down_set(l, big)
 
     @pytest.mark.parametrize("factory", [chain_collapse, collapse_motif, right_zero, trivial])
     def test_ideals_match_naive_products(self, factory):
         m = factory().adjoin_identity()
         monoid = [t.images for t in m]
-        right, left, both = ideal_masks(m)
-        for i, s in enumerate(m.elements):
-            for name, mask, oracle in (
-                ("right", right[i], naive.right_ideal(s.images, monoid)),
-                ("left", left[i], naive.left_ideal(s.images, monoid)),
-                ("both", both[i], naive.two_sided_ideal(s.images, monoid)),
-            ):
-                got = {m.elements[j].images for j in range(len(m)) if mask >> j & 1}
-                assert got == oracle, name
+        for kind, oracle in (
+            ("R", naive.right_ideal),
+            ("L", naive.left_ideal),
+            ("J", naive.two_sided_ideal),
+        ):
+            p = green_preorder(m, kind)
+            for s in m.elements:
+                got = {t.images for t in down_set(p, s)}
+                assert got == oracle(s.images, monoid), kind
 
 
 class TestPreorders:
@@ -103,12 +108,27 @@ class TestPreorders:
         assert sorted(map(sorted, got)) == sorted(map(sorted, expected))
 
     def test_preorder_matches_naive_oracle(self):
-        m = collapse_motif()
-        monoid = [t.images for t in m]
-        p = green_preorder(m, "J")
-        for a in m.elements:
-            for b in m.elements:
-                assert p.leq(a, b) == naive.green_leq(a.images, b.images, monoid, "J")
+        sources = []
+        for factory in (chain_collapse, collapse_motif, right_zero, trivial):
+            ts = factory()
+            # declared generators that do not reach every element
+            sources += [ts, TransformationSemigroup(ts.n, ts.generators[:1], ts.elements)]
+        for ts in sources:
+            m = ts.adjoin_identity()
+            monoid = [t.images for t in m]
+            for kind in ("R", "L", "J", "H"):
+                p = green_preorder(m, kind)
+                for a in m.elements:
+                    for b in m.elements:
+                        want = naive.green_leq(a.images, b.images, monoid, kind)
+                        assert p.leq(a, b) == want, (ts, kind, a, b)
+        # a product leaves a non-closed element set
+        ts = collapse_motif()
+        trimmed = TransformationSemigroup(ts.n, ts.generators, ts.elements[:-1])
+        assert not trimmed.is_closed()
+        for kind in ("R", "L", "J", "H"):
+            with pytest.raises(KeyError):
+                green_preorder(trimmed, kind)
 
 
 class TestClasses:

@@ -227,6 +227,16 @@ class TestPartitions:
                     expect.add(naive.normalize_partition(part))
             assert got == expect
 
+    def test_declared_generators_miss_elements(self, fixtures):
+        for name, ts in fixtures.items():
+            src = TransformationSemigroup(ts.n, ts.generators[:1], ts.elements)
+            parts = admissible_partitions(src)
+            # stability is a property of the elements, not of the declared generators
+            assert parts == admissible_partitions(ts), name
+            for p in parts:
+                target, m = quotient_ts(src, p)
+                assert validate(m) == (True, None), (name, p.blocks)
+
     def test_full_monoid_is_rigid(self):
         parts = admissible_partitions(full_tmonoid(3))
         assert [len(p) for p in parts] == [1, 3]

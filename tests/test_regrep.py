@@ -3,6 +3,7 @@ import pytest
 from greenskel import (
     ResourceLimitError,
     Transformation,
+    TransformationSemigroup,
     corollary_check,
     green_poset,
     inclusion_poset,
@@ -103,6 +104,13 @@ class TestCorollary:
             assert report.passed, name
             assert report.j_is_iso and report.l_is_iso
             assert report.j_found and report.l_found
+
+    def test_declared_generators_miss_elements(self, fixtures):
+        for name, ts in fixtures.items():
+            src = TransformationSemigroup(ts.n, ts.generators[:1], ts.elements)
+            report = corollary_check(src)
+            assert report.passed, name
+            assert report.regrep.rep.elements == right_regular(ts).rep.elements
 
     def test_maps_come_from_the_induced_maps(self):
         ts = collapse_motif()

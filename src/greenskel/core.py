@@ -182,6 +182,7 @@ class TransformationSemigroup:
         self._index = {t: i for i, t in enumerate(self.elements)}
         self.has_identity = Transformation.identity(n) in self._index
         self._one = None
+        self._gens = None
         self._cache = {}
 
     @classmethod
@@ -220,7 +221,9 @@ class TransformationSemigroup:
                         seen[w] = None
                         fresh.append(w)
             frontier = fresh
-        return cls(n, gens, [Transformation(w) for w in seen])
+        ts = cls(n, gens, [Transformation(w) for w in seen])
+        ts._gens = tuple(gen_images)
+        return ts
 
     def __len__(self):
         return len(self.elements)
@@ -245,6 +248,8 @@ class TransformationSemigroup:
         if self._one is None:
             one = Transformation.identity(self.n)
             S1 = TransformationSemigroup(self.n, self.generators + (one,), self.elements + (one,))
+            if self._gens == tuple(g.images for g in self.generators):
+                S1._gens = self._gens + (one.images,)
             S1._one = S1
             self._one = S1
         return self._one
@@ -258,7 +263,15 @@ class TransformationSemigroup:
         in canonical order, and the search goes on from it.  So every
         element is a product of the returned tuples, even when the declared
         generators do not generate ``elements``.
+
+        The set is found once per semigroup and stored.  ``generate`` stores
+        its own generators, which its closure has just shown to generate S.
+        When S's set is exactly its declared generators, ``adjoin_identity``
+        stores them plus the identity for S^1.  Either way the stored list
+        is exactly the one the search would return.
         """
+        if self._gens is not None:
+            return list(self._gens)
         members = {t.images for t in self.elements}
         gens = [g.images for g in self.generators if g.images in members]
         reached = set(gens)
@@ -277,6 +290,7 @@ class TransformationSemigroup:
                 gens.append(s.images)
                 reached.add(s.images)
                 frontier = [s.images]
+        self._gens = tuple(gens)
         return gens
 
     def is_closed(self):

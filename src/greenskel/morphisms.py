@@ -15,7 +15,13 @@ from .core import ResourceLimitError, StateSubset, Transformation, Transformatio
 from .green import green_poset, green_preorder
 from .maps import im_bar, im_bar_S, im_map
 from .order import NotAMorphismError, induce, order_violation
-from .skeleton import image_set, inclusion_poset, skeleton_poset, subduction_leq
+from .skeleton import (
+    image_set,
+    inclusion_poset,
+    skeleton_poset,
+    subduction_leq,
+    subduction_preorder,
+)
 
 
 @dataclass
@@ -324,14 +330,16 @@ def functoriality_check(m):
             set(psi.values()) ^ set(iy.subsets), key=StateSubset.sort_key
         )
 
-    # (c) subduction transports: the very witness works downstairs
+    # (c) subduction transports: the very witness works downstairs; only
+    # the pairs the source relation holds on have a witness to look for
     verbatim = True
     target_holds = True
-    for P in ix.subsets:
-        for Q in ix.subsets:
-            w = subduction_leq(P, Q, sm)
-            if w is None:
+    sp = subduction_preorder(sm)
+    for i, P in enumerate(ix.subsets):
+        for j, Q in enumerate(ix.subsets):
+            if not sp.leq_idx(i, j):
                 continue
+            w = subduction_leq(P, Q, sm)
             if not psi[P].issubset(psi[Q].apply(phi[w.s])):
                 verbatim = False
                 witnesses.setdefault("transport", (P, Q, w.s))

@@ -37,19 +37,6 @@ class Preorder:
             raise ValueError("carrier items must be distinct")
         self._poset = None
 
-    @classmethod
-    def from_leq(cls, items, leq):
-        """Build the relation matrix by calling ``leq`` on item pairs."""
-        items = tuple(items)
-        rows = []
-        for a in items:
-            mask = 0
-            for j, b in enumerate(items):
-                if leq(a, b):
-                    mask |= 1 << j
-            rows.append(mask)
-        return cls(items, rows)
-
     def __len__(self):
         return len(self.items)
 

@@ -3,14 +3,25 @@
 P is subduction-below Q when P fits inside some image of Q under the
 action, i.e. P <= Q^s for some s in S^1.  Collapsing mutual subduction
 gives the skeleton: the partial order of subduction classes.
+
+I(X) is closed under the action, so Q's images {Q^s : s in S^1} are the
+members reachable from Q in the orbit graph Q -> Q^g, g in a generating
+set.  Inclusion commutes with the action (P <= R gives P^s <= R^s), so
+subduction is the reflexive-transitive closure of the orbit edges and the
+inclusions together: |I(X)|*|G| subset images, not |I(X)|^2*|S^1|.  The
+extended carrier is closed too, since singletons map to singletons.
+
+``subduction_leq`` answers a single pair with its witness: the first s in
+S^1, identity first and then the elements in canonical order, with
+P <= Q^s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import StateSubset
-from .order import Preorder, quotient_cached
+from .core import DomainMismatchError, StateSubset, apply_mask
+from .order import Preorder, quotient_cached, transitive_closure_rows
 
 
 @dataclass
@@ -85,45 +96,46 @@ class SubductionWitness:
             raise ValueError(f"{self.s!r} does not carry {self.Q!r} over {self.P!r}")
 
 
-def _search_order(m):
-    """S^1 in witness-search order: identity first, then canonical."""
-    if "search_order" not in m._cache:
-        one = m.identity()
-        m._cache["search_order"] = (one,) + tuple(t for t in m.elements if t != one)
-    return m._cache["search_order"]
-
-
-def _action_images(m, Q):
-    """Masks Q^s for s in search order, memoized per Q."""
-    key = ("action_images", Q.mask)
-    if key not in m._cache:
-        m._cache[key] = tuple(Q.apply(s).mask for s in _search_order(m))
-    return m._cache[key]
-
-
 def subduction_leq(P, Q, ts):
     """First witness s (identity first, then canonical) with P <= Q^s, or None.
 
     |P| > |Q| is rejected outright: images never grow under the action.
+    The scan applies each element to Q in turn and stops at the first hit.
     """
     m = ts.adjoin_identity()
     if len(P) > len(Q):
         return None
-    pmask = P.mask
-    for s, qmask in zip(_search_order(m), _action_images(m, Q)):
-        if pmask & ~qmask == 0:
+    if Q.n != m.n:
+        raise DomainMismatchError("subset and map act on different state counts")
+    pmask, qmask = P.mask, Q.mask
+    if pmask & ~qmask == 0:
+        return SubductionWitness(m.identity(), P, Q)
+    for s in m.elements:
+        if pmask & ~apply_mask(qmask, s.images) == 0:
             return SubductionWitness(s, P, Q)
     return None
 
 
 def subduction_preorder(ts, extended=False):
-    """The subduction relation on I(X) (or its extended variant) as a Preorder."""
+    """The subduction relation on I(X) (or its extended variant) as a Preorder.
+
+    The inclusion edges P -> R (P <= R) and the reversed orbit edges
+    Q^g -> Q (g in the generating set) are closed once: P reaches Q exactly
+    when P lies in a member of Q's orbit.  An orbit step that leaves the
+    carrier, which a closed element set never takes, raises KeyError.
+    """
     m = ts.adjoin_identity()
     key = ("subduction_preorder", extended)
     if key in m._cache:
         return m._cache[key]
-    iset = extended_image_set(m) if extended else image_set(m)
-    p = Preorder.from_leq(iset.subsets, lambda P, Q: subduction_leq(P, Q, m) is not None)
+    incl = inclusion_preorder(m, extended)
+    index = {P.mask: i for i, P in enumerate(incl.items)}
+    rows = list(incl.rows)
+    gens = m.generating_images()
+    for q, i in index.items():
+        for g in gens:
+            rows[index[apply_mask(q, g)]] |= 1 << i
+    p = Preorder(incl.items, transitive_closure_rows(rows))
     m._cache[key] = p
     return p
 
@@ -135,7 +147,9 @@ def inclusion_preorder(ts, extended=False):
     if key in m._cache:
         return m._cache[key]
     iset = extended_image_set(m) if extended else image_set(m)
-    p = Preorder.from_leq(iset.subsets, StateSubset.issubset)
+    masks = [P.mask for P in iset.subsets]
+    rows = [sum(1 << j for j, q in enumerate(masks) if p & ~q == 0) for p in masks]
+    p = Preorder(iset.subsets, rows)
     m._cache[key] = p
     return p
 

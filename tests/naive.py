@@ -106,6 +106,13 @@ def reachable(rows, i):
     return seen
 
 
+def leq_rows(items, leq):
+    """Bit-mask rows of a relation, by calling ``leq`` on every item pair."""
+    return [
+        sum(1 << j for j, b in enumerate(items) if leq(a, b)) for a in items
+    ]
+
+
 def transitive_closure_rows(rows):
     """Reflexive-transitive closure of bit-mask rows by plain fixpoint iteration."""
     n = len(rows)

@@ -282,6 +282,14 @@ class TestMain:
         assert rc == 3
         assert "resource cap" in capsys.readouterr().err
 
+    def test_t6_under_small_budget_exit_3(self, tmp_path, capsys):
+        # full T6 has 46,656 elements; enumeration stops at the cap
+        doc = tmp_path / "t6.tsg"
+        doc.write_text("states: 6\ngen: 2 3 4 5 6 1\ngen: 2 1 3 4 5 6\ngen: 1 1 3 4 5 6\n")
+        rc = cli.main(["analyze", "--input", str(doc), "--max-elements", "1000"])
+        assert rc == 3
+        assert "resource cap in stage enumerate" in capsys.readouterr().err
+
     def test_cap_below_generator_count_exit_3(self, capsys):
         # three distinct constant generators already exceed a cap of one
         rc = cli.main(["analyze", "--input", str(INPUTS / "right_zero.tsg"), "--max-elements", "1"])

@@ -29,6 +29,12 @@ def same_n_pairs(max_n=5):
     )
 
 
+def assert_stored_generating_set_is_searched(ts):
+    for x in (ts, ts.adjoin_identity()):
+        fresh = TransformationSemigroup(x.n, x.generators, x.elements)
+        assert x.generating_images() == fresh.generating_images()
+
+
 class TestTransformation:
     def test_entry_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -154,6 +160,7 @@ class TestGenerate:
         ts = TransformationSemigroup.generate(n, gens, max_elements=300)
         assert {t.images for t in ts} == naive.close([g.images for g in gens])
         assert ts.is_closed()
+        assert_stored_generating_set_is_searched(ts)
 
     def test_canonical_numbering_is_lex_sorted(self):
         ts = nonlattice()
@@ -214,6 +221,16 @@ class TestSemigroup:
                 assert gens[: len(inside)] == inside
                 assert len(set(gens)) == len(gens)
                 assert naive.close(gens) == {t.images for t in src.elements}
+
+    def test_stored_generating_set_is_the_search_result(self, fixtures):
+        # generate and adjoin_identity store a generating set instead of
+        # searching; it must be the list the search of a fresh instance gives
+        for f in fixtures.values():
+            generated = TransformationSemigroup.generate(f.n, f.generators)
+            assert_stored_generating_set_is_searched(generated)
+            built = TransformationSemigroup(f.n, f.generators[:1], f.elements)
+            built.generating_images()
+            assert_stored_generating_set_is_searched(built)
 
     def test_full_t3_size(self):
         assert len(full_tmonoid(3)) == 27

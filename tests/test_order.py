@@ -30,7 +30,7 @@ def preorder_from_pairs(items, pairs):
                 if b == b2 and (a, c) not in closed:
                     closed.add((a, c))
                     changed = True
-    return Preorder.from_leq(items, lambda a, b: (a, b) in closed)
+    return Preorder(items, naive.leq_rows(items, lambda a, b: (a, b) in closed))
 
 
 def relations(max_n=6):

@@ -4,6 +4,10 @@ Relations are stored densely: ``rows[i]`` is a bit mask whose bit j says
 ``items[i] <= items[j]``.  A relation given by its generating edges, such
 as a Cayley graph, is closed by ``transitive_closure_rows``: Tarjan's
 strongly connected components, then one pass over their condensation.
+A closed relation needs no graph search to be quotiented: two items are
+mutually related exactly when their rows are equal, so ``Preorder.check``
+groups equal rows and checks transitivity once per group, and ``quotient``
+takes those groups as its classes.
 """
 
 from __future__ import annotations
@@ -50,23 +54,61 @@ class Preorder:
         return self.leq_idx(self._index[a], self._index[b])
 
     def check(self):
-        """Raise MalformedPreorderError unless reflexive and transitive."""
+        """Raise MalformedPreorderError unless reflexive and transitive.
+
+        Reflexivity is checked per item.  In a reflexive, transitive
+        relation two items are mutually related exactly when their rows are
+        equal, so transitivity is checked once per group of equal rows; the
+        first failing item and its witness are those an item-by-item scan
+        finds.  Returns ``_row_groups(self.rows)``, the classes of ``quotient``.
+        """
         for i, row in enumerate(self.rows):
             if not row >> i & 1:
                 raise MalformedPreorderError(f"relation not reflexive at {self.items[i]!r}")
-        for i, row in enumerate(self.rows):
+        group_of, masks, group_rows = _row_groups(self.rows)
+        for g, row in enumerate(group_rows):
             reach = 0
-            rest = row
-            while rest:
-                low = rest & -rest
-                reach |= self.rows[low.bit_length() - 1]
-                rest ^= low
-            if reach & ~row:
-                j = (reach & ~row)
-                j = (j & -j).bit_length() - 1
+            for h in _hit_groups(row, group_of, masks):
+                reach |= group_rows[h]
+            bad = reach & ~row
+            if bad:
+                i = (masks[g] & -masks[g]).bit_length() - 1
+                j = (bad & -bad).bit_length() - 1
                 raise MalformedPreorderError(
                     f"relation not transitive: {self.items[i]!r} reaches {self.items[j]!r} in two steps only"
                 )
+        return group_of, masks, group_rows
+
+
+def _row_groups(rows):
+    """Group the indices by equal rows, in one dict pass.
+
+    Groups are numbered by least member.  Returns the group of every index,
+    the member mask of every group and the row every group shares.
+    """
+    number = {}
+    group_of = []
+    masks = []
+    for i, row in enumerate(rows):
+        g = number.setdefault(row, len(masks))
+        if g == len(masks):
+            masks.append(0)
+        masks[g] |= 1 << i
+        group_of.append(g)
+    return group_of, masks, list(number)
+
+
+def _hit_groups(row, group_of, masks):
+    """Each group that ``row`` holds a member of, once, in order of first hit.
+
+    After each hit the group's whole mask is cleared, so a row that holds a
+    group's later members without its least one still hits that group.
+    """
+    rest = row
+    while rest:
+        h = group_of[(rest & -rest).bit_length() - 1]
+        yield h
+        rest &= ~masks[h]
 
 
 def _tarjan_sccs(rows):
@@ -221,30 +263,20 @@ def _down_count(rows, i):
 
 
 def quotient(p):
-    """Collapse mutual comparabilities; the classes inherit a partial order."""
-    p.check()
-    ncomp, comp_of = _tarjan_sccs(p.rows)
-    members = [[] for _ in range(ncomp)]
-    for i, c in enumerate(comp_of):
-        members[c].append(i)
-    # renumber classes by least member in carrier order
-    order = sorted(range(ncomp), key=lambda c: members[c][0])
-    renumber = {old: new for new, old in enumerate(order)}
-    classes = tuple(tuple(p.items[i] for i in members[old]) for old in order)
-    class_idx = [renumber[c] for c in comp_of]
-    rows = [0] * ncomp
-    for ci, cls in enumerate(classes):
-        rep = p.rows[p.index(cls[0])]
-        mask = 0
-        rest = rep
-        while rest:
-            low = rest & -rest
-            mask |= 1 << class_idx[low.bit_length() - 1]
-            rest ^= low
-        rows[ci] = mask
+    """Collapse mutual comparabilities; the classes inherit a partial order.
+
+    The classes are the groups of equal rows that ``p.check()`` verified,
+    numbered by least member.  A class's row holds every class that its
+    least member's row hits.
+    """
+    group_of, masks, group_rows = p.check()
+    members = [[] for _ in masks]
+    for a, g in zip(p.items, group_of):
+        members[g].append(a)
+    rows = [sum(1 << h for h in _hit_groups(row, group_of, masks)) for row in group_rows]
     covers = _transitive_reduction(rows)
-    class_of = {a: class_idx[i] for i, a in enumerate(p.items)}
-    poset = ClassPoset(p.items, classes, rows, covers, class_of)
+    class_of = dict(zip(p.items, group_of))
+    poset = ClassPoset(p.items, tuple(map(tuple, members)), rows, covers, class_of)
     p._poset = poset
     return poset
 

@@ -6,6 +6,8 @@ the library's bit masks, caching, and ordering conventions on purpose.
 
 import itertools
 
+from greenskel.order import MalformedPreorderError, _tarjan_sccs
+
 
 def comp(s, t):
     """First s, then t, on raw image tuples."""
@@ -131,6 +133,52 @@ def transitive_closure_rows(rows):
                 closed[i] = acc
                 changed = True
     return closed
+
+
+def quotient(items, rows):
+    """The quotient of a bit-mask relation the slow way, or MalformedPreorderError.
+
+    Checks transitivity item by item (each row must hold the rows of all its
+    bits), finds the classes with the library's Tarjan components over the
+    dense rows, renumbers them by least member and finds the covers pair by
+    pair.  It takes bit-mask rows and raises the library's error, unlike the
+    rest of this module, so that messages and numbering compare exactly.
+    Returns ``(classes, rows, covers, class_of)`` as ``ClassPoset`` holds them.
+    """
+    for i, row in enumerate(rows):
+        if not row >> i & 1:
+            raise MalformedPreorderError(f"relation not reflexive at {items[i]!r}")
+    for i, row in enumerate(rows):
+        reach = 0
+        for j in range(len(rows)):
+            if row >> j & 1:
+                reach |= rows[j]
+        if reach & ~row:
+            j = min(k for k in range(len(rows)) if reach >> k & 1 and not row >> k & 1)
+            raise MalformedPreorderError(
+                f"relation not transitive: {items[i]!r} reaches {items[j]!r} in two steps only"
+            )
+    ncomp, comp_of = _tarjan_sccs(rows)
+    members = [[i for i in range(len(rows)) if comp_of[i] == c] for c in range(ncomp)]
+    order = sorted(range(ncomp), key=lambda c: members[c][0])
+    renumber = {old: new for new, old in enumerate(order)}
+    classes = tuple(tuple(items[i] for i in members[old]) for old in order)
+    class_idx = [renumber[c] for c in comp_of]
+    class_rows = [
+        sum({1 << class_idx[i] for i in range(len(rows)) if rows[members[old][0]] >> i & 1})
+        for old in order
+    ]
+    covers = tuple(
+        (a, b)
+        for a in range(ncomp)
+        for b in range(ncomp)
+        if a != b and class_rows[a] >> b & 1 and not any(
+            c not in (a, b) and class_rows[a] >> c & 1 and class_rows[c] >> b & 1
+            for c in range(ncomp)
+        )
+    )
+    class_of = {a: class_idx[i] for i, a in enumerate(items)}
+    return classes, class_rows, covers, class_of
 
 
 def all_partitions(items):

@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from greenskel import MalformedPreorderError, NotAMorphismError, ResourceLimitError
 from greenskel.cli import (
@@ -40,6 +40,18 @@ def documents(draw):
         for _ in range(draw(st.integers(1, 3)))
     )
     return InputDocument(n, gens, draw(st.booleans()), draw(st.booleans()))
+
+
+def input_lines():
+    """Arbitrary lines, and lines with a known key and an arbitrary or numeric value."""
+    value = st.one_of(
+        st.text(max_size=12),
+        st.lists(st.integers(-3, 12).map(str), max_size=6).map(" ".join),
+    )
+    keyed = st.builds(
+        "{}:{}".format, st.sampled_from(["states", "gen", "monoid", "extended", "Gen ", ""]), value
+    )
+    return st.lists(st.one_of(st.text(max_size=20), keyed), max_size=8)
 
 
 class TestParse:
@@ -82,6 +94,19 @@ class TestParse:
         with pytest.raises(InputError) as err:
             parse(text)
         assert fragment in str(err.value)
+
+    @given(input_lines())
+    @settings(max_examples=300)
+    @example(["states: 2", "gen: 1 2", "gen: 2 0"])
+    @example(["states: 1" + "0" * 5000])
+    @example(["states: \u0663", "gen: 1 2 3"])
+    def test_only_input_error_escapes(self, lines):
+        try:
+            doc = parse("\n".join(lines))
+        except InputError:
+            return
+        assert doc.n >= 1 and doc.generators
+        assert all(len(g) == doc.n and all(1 <= v <= doc.n for v in g) for g in doc.generators)
 
     def test_input_error_is_value_error(self):
         assert issubclass(InputError, ValueError)

@@ -15,7 +15,12 @@ from greenskel import (
     subduction_preorder,
 )
 from greenskel.catalog import chain_collapse
-from greenskel.order import is_order_isomorphism, order_violation, transitive_closure_rows
+from greenskel.order import (
+    _transitive_reduction,
+    is_order_isomorphism,
+    order_violation,
+    transitive_closure_rows,
+)
 
 import naive
 
@@ -95,6 +100,56 @@ def relabelings(draw):
     elif spoil == "random map":
         f = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     return rows, moved, f
+
+
+@st.composite
+def quotient_inputs(draw, max_n=8):
+    """Bit-mask rows: closed, closed with one bit flipped or cleared, not reflexive, or arbitrary."""
+    kind = draw(st.sampled_from(("closed", "flipped", "cleared", "not reflexive", "arbitrary")))
+    rows = naive.transitive_closure_rows(draw(digraphs(max_n=max_n)))
+    n = len(rows)
+    if kind == "arbitrary":
+        return draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    if n and kind == "flipped":
+        rows[draw(st.integers(0, n - 1))] ^= 1 << draw(st.integers(0, n - 1))
+    if n and kind == "cleared":
+        i = draw(st.integers(0, n - 1))
+        rows[i] &= ~(1 << draw(st.sampled_from([j for j in range(n) if rows[i] >> j & 1])))
+    if n and kind == "not reflexive":
+        i = draw(st.integers(0, n - 1))
+        rows[i] &= ~(1 << i)
+    return rows
+
+
+@st.composite
+def posets(draw, n=None):
+    """A random partial order on range(n), n from 1 to 6 unless given."""
+    if n is None:
+        n = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+    upward = [(min(a, b), max(a, b)) for a, b in pairs]
+    return quotient(Preorder(range(n), closed_rows(n, upward)))
+
+
+def relabeled_poset(poset, perm):
+    rows = [0] * len(poset)
+    for i, j in pair_set(poset.rows):
+        rows[perm[i]] |= 1 << perm[j]
+    return quotient(Preorder(range(len(poset)), rows))
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+def strict_digraph(nx, poset):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(poset)))
+    g.add_edges_from(
+        (i, j) for i in range(len(poset)) for j in range(len(poset)) if i != j and poset.leq_idx(i, j)
+    )
+    return g
 
 
 class TestPreorder:
@@ -182,6 +237,30 @@ class TestQuotient:
         assert q.levels() == [0, 1, 1, 2]
         assert q.minimal() == (0,) and q.maximal() == (3,)
         assert q.up_covers(0) == (1, 2) and q.down_covers(3) == (1, 2)
+
+    @given(quotient_inputs())
+    @settings(max_examples=400)
+    @example([0b101, 0b110, 0b110])
+    @example([0b011, 0b011, 0b110])
+    @example([0b0111, 0b0111, 0b1100, 0b1000])
+    def test_matches_check_and_tarjan_oracle(self, rows):
+        items = list(range(len(rows)))
+        try:
+            want = naive.quotient(items, rows)
+        except MalformedPreorderError as err:
+            with pytest.raises(MalformedPreorderError) as got:
+                quotient(Preorder(items, rows))
+            assert str(got.value) == str(err)
+            return
+        q = quotient(Preorder(items, rows))
+        assert (q.classes, q.rows, q.covers, q.class_of) == want
+
+    def test_row_with_later_class_member_only(self):
+        # 1 and 2 share a row; row 0 holds 2 but not 1
+        p = Preorder([0, 1, 2], [0b101, 0b110, 0b110])
+        with pytest.raises(MalformedPreorderError) as err:
+            quotient(p)
+        assert str(err.value) == "relation not transitive: 0 reaches 1 in two steps only"
 
     @given(relations())
     @settings(max_examples=80)
@@ -344,6 +423,25 @@ class TestIsomorphism:
         for i in range(len(p)):
             for j in range(len(p)):
                 assert p.leq_idx(i, j) == relabeled.leq_idx(iso[i], iso[j])
+
+
+class TestAgainstNetworkx:
+    @given(p=posets())
+    @settings(max_examples=150)
+    def test_covers_are_the_transitive_reduction(self, nx, p):
+        want = nx.transitive_reduction(strict_digraph(nx, p))
+        assert _transitive_reduction(p.rows) == tuple(sorted(want.edges))
+
+    @given(p=posets(), data=st.data())
+    @settings(max_examples=150)
+    def test_isomorphism_matches_networkx(self, nx, p, data):
+        n = len(p)
+        other = p if data.draw(st.booleans()) else data.draw(posets(n))
+        q = relabeled_poset(other, data.draw(st.permutations(range(n))))
+        iso = poset_isomorphic(p, q)
+        assert (iso is not None) == nx.is_isomorphic(strict_digraph(nx, p), strict_digraph(nx, q))
+        if iso is not None:
+            assert is_order_isomorphism(p.rows, q.rows, [iso[i] for i in range(n)])
 
 
 class TestLattice:

@@ -9,9 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from greenskel.cli import emit_dot, parse, report_text, run, verification_lines
-
-DOT_KINDS = ("jposet", "lposet", "skeleton", "eggbox", "collapse")
+from greenskel.cli import DOT_KINDS, emit_dot, parse, report_text, run, verification_lines
 
 
 def main(argv=None):

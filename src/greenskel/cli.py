@@ -35,7 +35,22 @@ from .skeleton import (
 )
 
 ALL_TASKS = ("green", "skeleton", "diagram", "regrep", "functorial")
-DOT_KINDS = ("jposet", "lposet", "skeleton", "eggbox", "collapse")
+DEFAULT_TASKS = ("green", "skeleton", "diagram")
+# tasks each subcommand runs; analyze's --task overrides the default
+COMMAND_TASKS = {
+    "analyze": DEFAULT_TASKS,
+    "verify": DEFAULT_TASKS,
+    "regrep": ("regrep",),
+    "functorial": ("functorial",),
+}
+DOT_TASKS = {
+    "jposet": ("green",),
+    "lposet": ("green",),
+    "skeleton": ("skeleton",),
+    "eggbox": ("green",),
+    "collapse": ("green", "skeleton", "diagram"),
+}
+DOT_KINDS = tuple(DOT_TASKS)
 
 
 class InputError(ValueError):
@@ -430,16 +445,11 @@ def _dot_eggboxes(bundle):
 
 def emit_dot(bundle, which):
     """Render one of the bundle's structures as deterministic DOT text."""
-    if which == "jposet":
+    if which in ("jposet", "lposet"):
         if bundle.green is None:
-            raise MissingAnalysisError("jposet rendering needs the green task")
-        jq = bundle.green["J"]
-        return _dot_poset(jq, [repr(jq.rep(i)) for i in range(len(jq))], "jposet")
-    if which == "lposet":
-        if bundle.green is None:
-            raise MissingAnalysisError("lposet rendering needs the green task")
-        lq = bundle.green["L"]
-        return _dot_poset(lq, [repr(lq.rep(i)) for i in range(len(lq))], "lposet")
+            raise MissingAnalysisError(f"{which} rendering needs the green task")
+        q = bundle.green[which[0].upper()]
+        return _dot_poset(q, [repr(q.rep(i)) for i in range(len(q))], which)
     if which == "skeleton":
         if bundle.skeleton is None:
             raise MissingAnalysisError("skeleton rendering needs the skeleton task")
@@ -558,48 +568,26 @@ def main(argv=None):
 
 
 def _dispatch(args, doc):
-    if args.command == "analyze":
-        tasks = tuple(args.task) if args.task else ("green", "skeleton", "diagram")
-        bundle = run(doc, tasks, args.max_elements)
-        sys.stdout.write(report_text(bundle))
-        if args.out:
-            _write_out(args.out, json.dumps(report_data(bundle), indent=2) + "\n")
-        return 0 if bundle.passed else 1
     if args.command == "dot":
-        needed = {
-            "jposet": ("green",),
-            "lposet": ("green",),
-            "eggbox": ("green",),
-            "skeleton": ("skeleton",),
-            "collapse": ("green", "skeleton", "diagram"),
-        }[args.which]
-        bundle = run(doc, needed, args.max_elements)
+        bundle = run(doc, DOT_TASKS[args.which], args.max_elements)
         text = emit_dot(bundle, args.which)
         if args.out:
             _write_out(args.out, text)
         else:
             sys.stdout.write(text)
         return 0
+    if args.command not in COMMAND_TASKS:
+        raise InputError(f"unknown command {args.command!r}")
+    bundle = run(doc, getattr(args, "task", None) or COMMAND_TASKS[args.command], args.max_elements)
     if args.command == "verify":
-        bundle = run(doc, ("green", "skeleton", "diagram"), args.max_elements)
         lines, ok = verification_lines(bundle)
         sys.stdout.write("\n".join(lines) + "\n")
-        if args.out:
-            _write_out(args.out, json.dumps(report_data(bundle), indent=2) + "\n")
-        return 0 if ok else 1
-    if args.command == "regrep":
-        bundle = run(doc, ("regrep",), args.max_elements)
+    else:
+        ok = bundle.passed
         sys.stdout.write(report_text(bundle))
-        if args.out:
-            _write_out(args.out, json.dumps(report_data(bundle), indent=2) + "\n")
-        return 0 if bundle.corollary.passed else 1
-    if args.command == "functorial":
-        bundle = run(doc, ("functorial",), args.max_elements)
-        sys.stdout.write(report_text(bundle))
-        if args.out:
-            _write_out(args.out, json.dumps(report_data(bundle), indent=2) + "\n")
-        return 0 if bundle.passed else 1
-    raise InputError(f"unknown command {args.command!r}")
+    if args.out:
+        _write_out(args.out, json.dumps(report_data(bundle), indent=2) + "\n")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

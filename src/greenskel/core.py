@@ -7,6 +7,8 @@ A transformation acts on the right, so the product ``s * t`` means
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 
 
@@ -183,7 +185,7 @@ class TransformationSemigroup:
         self.has_identity = Transformation.identity(n) in self._index
         self._one = None
         self._gens = None
-        self._cache = {}
+        self._memo = {}
 
     @classmethod
     def generate(cls, n, generators, max_elements=1_000_000):
@@ -302,3 +304,33 @@ class TransformationSemigroup:
             f"TransformationSemigroup(n={self.n}, generators={len(self.generators)}, "
             f"elements={len(self.elements)})"
         )
+
+
+def per_monoid(func):
+    """Compute ``func(S^1, *args)`` once per monoid and argument; store it on S^1.
+
+    ``func`` takes a semigroup first.  The wrapper maps it to S^1 and keys
+    the memo on the function and the remaining arguments, with keywords and
+    defaults filled in positionally, so ``f(S)``, ``f(S^1)``, ``f(m, False)``
+    and ``f(m, extended=False)`` share one entry.  A call that raises stores
+    nothing.
+    """
+    params = tuple((p.name, p.default) for p in inspect.signature(func).parameters.values())[1:]
+
+    @functools.wraps(func)
+    def memo(ts, *args, **kwargs):
+        if kwargs or len(args) < len(params):
+            args += tuple(kwargs.pop(name, default) for name, default in params[len(args) :])
+            if kwargs or inspect.Parameter.empty in args:
+                names = ", ".join(["ts"] + [name for name, _ in params])
+                raise TypeError(f"{func.__name__}() takes ({names})")
+        m = ts.adjoin_identity()
+        key = (func, args)
+        try:
+            return m._memo[key]
+        except KeyError:
+            pass
+        value = m._memo[key] = func(m, *args)
+        return value
+
+    return memo

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .order import Preorder, quotient_cached, transitive_closure_rows
+from .core import per_monoid
+from .order import Preorder, transitive_closure_rows
 
 
 class ConsistencyError(RuntimeError):
@@ -38,17 +39,14 @@ def _reversed_cayley_rows(m, which):
     return rows
 
 
-def green_preorder(ts, which):
+@per_monoid
+def green_preorder(m, which):
     """The preorder <=_K on S^1 for K in {"R", "L", "J", "H"}.
 
     s <=_K t holds when the principal K-ideal of s is contained in that of
     t, i.e. when t reaches s in the K Cayley graph; <=_H is the meet of
     <=_L and <=_R.
     """
-    m = ts.adjoin_identity()
-    key = ("green_preorder", which)
-    if key in m._cache:
-        return m._cache[key]
     if which == "H":
         lrows = green_preorder(m, "L").rows
         rrows = green_preorder(m, "R").rows
@@ -57,14 +55,12 @@ def green_preorder(ts, which):
         rows = transitive_closure_rows(_reversed_cayley_rows(m, which))
     else:
         raise ValueError(f"unknown Green relation {which!r}")
-    p = Preorder(m.elements, rows)
-    m._cache[key] = p
-    return p
+    return Preorder(m.elements, rows)
 
 
 def green_poset(ts, which):
     """Classes of the K-preorder with their induced partial order."""
-    return quotient_cached(green_preorder(ts, which))
+    return green_preorder(ts, which).poset
 
 
 class _UnionFind:
@@ -85,15 +81,13 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def d_classes(ts):
+@per_monoid
+def d_classes(m):
     """D-classes as the join of the L- and R-partitions.
 
     Cross-checked against the J-classes: the two partitions must agree on a
     finite semigroup, and a mismatch raises ConsistencyError.
     """
-    m = ts.adjoin_identity()
-    if "d_classes" in m._cache:
-        return m._cache["d_classes"]
     uf = _UnionFind(len(m.elements))
     for which in ("L", "R"):
         for cls in green_poset(m, which).classes:
@@ -109,9 +103,7 @@ def d_classes(ts):
     )
     if d_part != j_part:
         raise ConsistencyError("join of L and R does not match the J partition")
-    classes = tuple(tuple(m.elements[i] for i in idx) for idx in d_part)
-    m._cache["d_classes"] = classes
-    return classes
+    return tuple(tuple(m.elements[i] for i in idx) for idx in d_part)
 
 
 @dataclass

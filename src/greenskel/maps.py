@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .core import per_monoid
 from .green import green_preorder, green_poset
 from .order import check_preorder_morphism, induce, order_violation
 from .skeleton import (
@@ -21,34 +22,28 @@ from .skeleton import (
 )
 
 
-def im_map(ts):
+@per_monoid
+def im_map(m):
     """Element -> image subset, for every element of S^1."""
-    m = ts.adjoin_identity()
-    if "im_map" not in m._cache:
-        m._cache["im_map"] = {t: t.image() for t in m.elements}
-    return m._cache["im_map"]
+    return {t: t.image() for t in m.elements}
 
 
-def im_bar(ts):
+@per_monoid
+def im_bar(m):
     """Induced surjection S^1/L -> (I(X), inclusion), laws re-verified."""
-    m = ts.adjoin_identity()
-    if "im_bar" not in m._cache:
-        out = induce(im_map(m), green_preorder(m, "L"), inclusion_preorder(m))
-        if not out.is_surjective():
-            raise AssertionError("induced map on L-classes misses an image set")
-        m._cache["im_bar"] = out
-    return m._cache["im_bar"]
+    out = induce(im_map(m), green_preorder(m, "L"), inclusion_preorder(m))
+    if not out.is_surjective():
+        raise AssertionError("induced map on L-classes misses an image set")
+    return out
 
 
-def im_bar_S(ts):
+@per_monoid
+def im_bar_S(m):
     """Induced surjection S^1/J -> skeleton, laws re-verified."""
-    m = ts.adjoin_identity()
-    if "im_bar_S" not in m._cache:
-        out = induce(im_map(m), green_preorder(m, "J"), subduction_preorder(m))
-        if not out.is_surjective():
-            raise AssertionError("induced map on J-classes misses a subduction class")
-        m._cache["im_bar_S"] = out
-    return m._cache["im_bar_S"]
+    out = induce(im_map(m), green_preorder(m, "J"), subduction_preorder(m))
+    if not out.is_surjective():
+        raise AssertionError("induced map on J-classes misses a subduction class")
+    return out
 
 
 @dataclass

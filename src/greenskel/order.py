@@ -13,6 +13,7 @@ takes those groups as its classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class MalformedPreorderError(ValueError):
@@ -39,7 +40,6 @@ class Preorder:
         self._index = {a: i for i, a in enumerate(self.items)}
         if len(self._index) != len(self.items):
             raise ValueError("carrier items must be distinct")
-        self._poset = None
 
     def __len__(self):
         return len(self.items)
@@ -60,16 +60,21 @@ class Preorder:
         relation two items are mutually related exactly when their rows are
         equal, so transitivity is checked once per group of equal rows; the
         first failing item and its witness are those an item-by-item scan
-        finds.  Returns ``_row_groups(self.rows)``, the classes of ``quotient``.
+        finds.  Returns the group of every item and each group's class row
+        (bit h when the group's row holds a member of group h): the classes
+        and order of ``quotient``.
         """
         for i, row in enumerate(self.rows):
             if not row >> i & 1:
                 raise MalformedPreorderError(f"relation not reflexive at {self.items[i]!r}")
         group_of, masks, group_rows = _row_groups(self.rows)
+        class_rows = []
         for g, row in enumerate(group_rows):
             reach = 0
+            class_row = 0
             for h in _hit_groups(row, group_of, masks):
                 reach |= group_rows[h]
+                class_row |= 1 << h
             bad = reach & ~row
             if bad:
                 i = (masks[g] & -masks[g]).bit_length() - 1
@@ -77,7 +82,13 @@ class Preorder:
                 raise MalformedPreorderError(
                     f"relation not transitive: {self.items[i]!r} reaches {self.items[j]!r} in two steps only"
                 )
-        return group_of, masks, group_rows
+            class_rows.append(class_row)
+        return group_of, class_rows
+
+    @cached_property
+    def poset(self):
+        """``quotient(self)``, computed on first use and kept."""
+        return quotient(self)
 
 
 def _row_groups(rows):
@@ -266,23 +277,16 @@ def quotient(p):
     """Collapse mutual comparabilities; the classes inherit a partial order.
 
     The classes are the groups of equal rows that ``p.check()`` verified,
-    numbered by least member.  A class's row holds every class that its
-    least member's row hits.
+    numbered by least member, ordered by the class rows it collected.
+    ``Preorder.poset`` keeps the result; this always computes.
     """
-    group_of, masks, group_rows = p.check()
-    members = [[] for _ in masks]
+    group_of, rows = p.check()
+    members = [[] for _ in rows]
     for a, g in zip(p.items, group_of):
         members[g].append(a)
-    rows = [sum(1 << h for h in _hit_groups(row, group_of, masks)) for row in group_rows]
     covers = _transitive_reduction(rows)
     class_of = dict(zip(p.items, group_of))
-    poset = ClassPoset(p.items, tuple(map(tuple, members)), rows, covers, class_of)
-    p._poset = poset
-    return poset
-
-
-def quotient_cached(p):
-    return p._poset if p._poset is not None else quotient(p)
+    return ClassPoset(p.items, tuple(map(tuple, members)), rows, covers, class_of)
 
 
 def _transitive_reduction(rows):
@@ -403,8 +407,8 @@ def induce(f, src, dst):
     ok, witness = check_preorder_morphism(fmap, src, dst)
     if not ok:
         raise NotAMorphismError(witness)
-    sp = quotient_cached(src)
-    tp = quotient_cached(dst)
+    sp = src.poset
+    tp = dst.poset
     class_map = []
     for cls in sp.classes:
         targets = {tp.class_of[fmap[a]] for a in cls}

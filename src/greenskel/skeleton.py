@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import DomainMismatchError, StateSubset, apply_mask
-from .order import Preorder, quotient_cached, transitive_closure_rows
+from .core import DomainMismatchError, StateSubset, apply_mask, per_monoid
+from .order import Preorder, transitive_closure_rows
 
 
 @dataclass
@@ -52,35 +52,26 @@ class ImageSet:
         return self.origin.get(P)
 
 
-def image_set(ts):
+@per_monoid
+def image_set(m):
     """I(X): every subset of the state set arising as an element's image."""
-    m = ts.adjoin_identity()
-    if "image_set" in m._cache:
-        return m._cache["image_set"]
     origin = {StateSubset.full(m.n): m.identity()}
     for t in m.elements:
         sub = t.image()
         if sub not in origin:
             origin[sub] = t
-    subsets = tuple(sorted(origin, key=StateSubset.sort_key))
-    iset = ImageSet(m.n, subsets, origin)
-    m._cache["image_set"] = iset
-    return iset
+    return ImageSet(m.n, tuple(sorted(origin, key=StateSubset.sort_key)), origin)
 
 
-def extended_image_set(ts):
+@per_monoid
+def extended_image_set(m):
     """I(X) together with all singletons; extras are flagged as adjoined."""
-    m = ts.adjoin_identity()
-    if "extended_image_set" in m._cache:
-        return m._cache["extended_image_set"]
     base = image_set(m)
     adjoined = frozenset(
         s for x in range(m.n) if (s := StateSubset.singleton(m.n, x)) not in base.origin
     )
     subsets = tuple(sorted(set(base.subsets) | adjoined, key=StateSubset.sort_key))
-    iset = ImageSet(m.n, subsets, dict(base.origin), adjoined)
-    m._cache["extended_image_set"] = iset
-    return iset
+    return ImageSet(m.n, subsets, dict(base.origin), adjoined)
 
 
 @dataclass(frozen=True)
@@ -116,7 +107,8 @@ def subduction_leq(P, Q, ts):
     return None
 
 
-def subduction_preorder(ts, extended=False):
+@per_monoid
+def subduction_preorder(m, extended=False):
     """The subduction relation on I(X) (or its extended variant) as a Preorder.
 
     The inclusion edges P -> R (P <= R) and the reversed orbit edges
@@ -124,10 +116,6 @@ def subduction_preorder(ts, extended=False):
     when P lies in a member of Q's orbit.  An orbit step that leaves the
     carrier, which a closed element set never takes, raises KeyError.
     """
-    m = ts.adjoin_identity()
-    key = ("subduction_preorder", extended)
-    if key in m._cache:
-        return m._cache[key]
     incl = inclusion_preorder(m, extended)
     index = {P.mask: i for i, P in enumerate(incl.items)}
     rows = list(incl.rows)
@@ -135,29 +123,22 @@ def subduction_preorder(ts, extended=False):
     for q, i in index.items():
         for g in gens:
             rows[index[apply_mask(q, g)]] |= 1 << i
-    p = Preorder(incl.items, transitive_closure_rows(rows))
-    m._cache[key] = p
-    return p
+    return Preorder(incl.items, transitive_closure_rows(rows))
 
 
-def inclusion_preorder(ts, extended=False):
+@per_monoid
+def inclusion_preorder(m, extended=False):
     """Plain subset inclusion on the same carrier; already antisymmetric."""
-    m = ts.adjoin_identity()
-    key = ("inclusion_preorder", extended)
-    if key in m._cache:
-        return m._cache[key]
     iset = extended_image_set(m) if extended else image_set(m)
     masks = [P.mask for P in iset.subsets]
     rows = [sum(1 << j for j, q in enumerate(masks) if p & ~q == 0) for p in masks]
-    p = Preorder(iset.subsets, rows)
-    m._cache[key] = p
-    return p
+    return Preorder(iset.subsets, rows)
 
 
 def inclusion_poset(ts, extended=False):
-    return quotient_cached(inclusion_preorder(ts, extended))
+    return inclusion_preorder(ts, extended).poset
 
 
 def skeleton_poset(ts, extended=False):
     """Subduction classes of I(X) (or extended) with their partial order."""
-    return quotient_cached(subduction_preorder(ts, extended))
+    return subduction_preorder(ts, extended).poset

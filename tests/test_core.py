@@ -8,6 +8,18 @@ from greenskel import (
     Transformation,
     TransformationSemigroup,
     apply_mask,
+    d_classes,
+    extended_image_set,
+    green_poset,
+    green_preorder,
+    im_bar,
+    im_bar_S,
+    im_map,
+    image_set,
+    inclusion_poset,
+    inclusion_preorder,
+    skeleton_poset,
+    subduction_preorder,
 )
 from greenskel.catalog import chain_collapse, full_tmonoid, nonlattice, trivial
 
@@ -246,3 +258,81 @@ class TestSemigroup:
         open_set = TransformationSemigroup(3, [t], [t, Transformation.from_one_based([2, 3, 1])])
         assert not open_set.is_closed()
         assert TransformationSemigroup(3, [t, u], [t, u]).is_closed()
+
+
+def without_identity():
+    """chain_collapse's generators closed without the identity."""
+    gens = [Transformation.from_one_based([1, 3, 3]), Transformation.from_one_based([3, 1, 3])]
+    ts = TransformationSemigroup.generate(3, gens)
+    assert not ts.has_identity
+    return ts
+
+
+# every memoised function, with each spelling of one call
+SPELLINGS = {
+    "green_preorder": [
+        lambda ts: green_preorder(ts, "J"),
+        lambda ts: green_preorder(ts, which="J"),
+    ],
+    "d_classes": [d_classes, lambda ts: d_classes(ts=ts)],
+    "image_set": [image_set],
+    "extended_image_set": [extended_image_set],
+    "im_map": [im_map],
+    "im_bar": [im_bar],
+    "im_bar_S": [im_bar_S],
+    **{
+        f.__name__: [
+            f,
+            lambda ts, f=f: f(ts, False),
+            lambda ts, f=f: f(ts, extended=False),
+            lambda ts, f=f: f(ts=ts, extended=False),
+        ]
+        for f in (subduction_preorder, inclusion_preorder)
+    },
+}
+
+
+class TestPerMonoid:
+    @pytest.mark.parametrize("name", list(SPELLINGS))
+    def test_every_spelling_on_s_and_s1_is_one_object(self, name):
+        ts = without_identity()
+        m = ts.adjoin_identity()
+        first = SPELLINGS[name][0](ts)
+        for call in SPELLINGS[name]:
+            assert call(ts) is first and call(m) is first
+        assert ts._memo == {}
+
+    @pytest.mark.parametrize("name", list(SPELLINGS))
+    def test_second_monoid_has_its_own_entry(self, name):
+        ts, other = without_identity(), without_identity()
+        ours = SPELLINGS[name][0](ts)
+        theirs = SPELLINGS[name][0](other)
+        assert theirs is not ours
+        assert any(v is ours for v in ts.adjoin_identity()._memo.values())
+        assert any(v is theirs for v in other.adjoin_identity()._memo.values())
+        assert not any(v is ours for v in other.adjoin_identity()._memo.values())
+
+    def test_arguments_key_separate_entries(self):
+        m = chain_collapse()
+        kinds = {kind: green_preorder(m, kind) for kind in "RLJH"}
+        assert len({id(p) for p in kinds.values()}) == 4
+        for f in (subduction_preorder, inclusion_preorder):
+            assert f(m, True) is f(m, extended=True)
+            assert f(m, True) is not f(m)
+
+    def test_posets_are_the_kept_quotients(self):
+        ts = without_identity()
+        m = ts.adjoin_identity()
+        assert green_poset(ts, "J") is green_preorder(m, "J").poset
+        assert skeleton_poset(ts) is subduction_preorder(m).poset
+        assert inclusion_poset(ts, extended=True) is inclusion_preorder(m, True).poset
+
+    def test_failed_call_stores_nothing(self):
+        m = chain_collapse()
+        with pytest.raises(ValueError, match="unknown Green relation"):
+            green_preorder(m, "X")
+        assert m._memo == {}
+        for bad in (lambda: green_preorder(m), lambda: green_preorder(m, kind="J")):
+            with pytest.raises(TypeError):
+                bad()
+        assert m._memo == {}

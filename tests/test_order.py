@@ -255,6 +255,26 @@ class TestQuotient:
         q = quotient(Preorder(items, rows))
         assert (q.classes, q.rows, q.covers, q.class_of) == want
 
+    def test_poset_is_kept_and_equals_quotient(self):
+        p = preorder_from_pairs("abcd", [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d")])
+        assert p.poset is p.poset
+        q = quotient(p)
+        assert q is not p.poset
+        assert (q.items, q.classes, q.rows, q.covers, q.class_of) == (
+            p.poset.items,
+            p.poset.classes,
+            p.poset.rows,
+            p.poset.covers,
+            p.poset.class_of,
+        )
+
+    def test_malformed_poset_raises_on_every_access(self):
+        p = Preorder(["a", "b", "c"], [0b011, 0b110, 0b100])
+        for _ in range(2):
+            with pytest.raises(MalformedPreorderError):
+                p.poset
+        assert "poset" not in vars(p)
+
     def test_row_with_later_class_member_only(self):
         # 1 and 2 share a row; row 0 holds 2 but not 1
         p = Preorder([0, 1, 2], [0b101, 0b110, 0b110])

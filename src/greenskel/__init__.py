@@ -34,13 +34,11 @@ from .order import (
 from .regrep import CorollaryReport, RegRep, corollary_check, right_regular
 from .skeleton import (
     ImageSet,
-    SubductionWitness,
     extended_image_set,
     image_set,
     inclusion_poset,
     inclusion_preorder,
     skeleton_poset,
-    subduction_leq,
     subduction_preorder,
 )
 
@@ -61,7 +59,6 @@ __all__ = [
     "RegRep",
     "ResourceLimitError",
     "StateSubset",
-    "SubductionWitness",
     "Transformation",
     "TransformationSemigroup",
     "TsMorphism",
@@ -88,7 +85,6 @@ __all__ = [
     "quotient_ts",
     "right_regular",
     "skeleton_poset",
-    "subduction_leq",
     "subduction_preorder",
     "validate",
     "verify_diagram",

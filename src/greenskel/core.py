@@ -295,10 +295,6 @@ class TransformationSemigroup:
         self._gens = tuple(gens)
         return gens
 
-    def is_closed(self):
-        els = set(self.elements)
-        return all(s * t in els for s in self.elements for t in self.elements)
-
     def __repr__(self):
         return (
             f"TransformationSemigroup(n={self.n}, generators={len(self.generators)}, "

@@ -144,7 +144,7 @@ def eggboxes(ts):
                 if not cell:
                     raise ConsistencyError("empty H-cell inside a D-class")
                 row_cells.append(cell)
-                row_flags.append(tuple(t * t == t for t in cell))
+                row_flags.append(tuple(t.is_idempotent() for t in cell))
             cells.append(tuple(row_cells))
             flags.append(tuple(row_flags))
         col_images = tuple(lp.classes[ci][0].image() for ci in col_ids)

@@ -10,31 +10,35 @@ the source (Green preorders, image sets, subduction) onto the target's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from .core import ResourceLimitError, StateSubset, Transformation, TransformationSemigroup
 from .green import green_poset, green_preorder
 from .maps import im_bar, im_bar_S, im_map
-from .order import NotAMorphismError, induce, order_violation
-from .skeleton import (
-    image_set,
-    inclusion_poset,
-    skeleton_poset,
-    subduction_leq,
-    subduction_preorder,
-)
+from .order import NotAMorphismError, induce
+from .skeleton import image_set, inclusion_poset, subduction_preorder
+
+MAX_PARTITION_STATES = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class TsMorphism:
-    """Paired surjections (states, elements) compatible with the actions."""
+    """Paired surjections (states, elements) compatible with the actions.
+
+    Immutable: ``state_map`` is a tuple and ``elem_map`` a read-only copy of
+    the mapping given, so the verdict ``validate`` stores on first use
+    cannot go stale.
+    """
 
     source: TransformationSemigroup
     target: TransformationSemigroup
     state_map: tuple
-    elem_map: dict
+    elem_map: MappingProxyType
 
     def __post_init__(self):
-        self.state_map = tuple(self.state_map)
+        object.__setattr__(self, "state_map", tuple(self.state_map))
+        object.__setattr__(self, "elem_map", MappingProxyType(dict(self.elem_map)))
         if len(self.state_map) != self.source.n:
             raise ValueError("state_map must cover every source state")
         for y in self.state_map:
@@ -44,11 +48,9 @@ class TsMorphism:
         if missing:
             raise ValueError(f"elem_map not total, e.g. {missing[0]!r}")
 
-    def map_state(self, x):
-        return self.state_map[x]
-
-    def map_elem(self, s):
-        return self.elem_map[s]
+    @cached_property
+    def _verdict(self):
+        return _check_laws(self)
 
     def map_subset(self, P):
         return StateSubset.of(self.target.n, (self.state_map[x] for x in P))
@@ -92,6 +94,15 @@ def _homomorphism_violation(m):
 
 def validate(m):
     """Check the morphism laws; returns (ok, first violation or None).
+
+    The laws are checked on the first call only; the verdict is stored on
+    the morphism, which cannot change, and later calls return it.
+    """
+    return m._verdict
+
+
+def _check_laws(m):
+    """The verdict of ``validate``, computed.
 
     Violations are tagged tuples: surjectivity of either map, the
     homomorphism law, action compatibility, and the identity condition
@@ -168,15 +179,16 @@ def _partitions(n):
             return
 
 
-def admissible_partitions(ts, max_states=8):
+def admissible_partitions(ts):
     """Every state partition whose blocks are stable under all elements.
 
     Stability under a generating set suffices: induced block maps compose.
-    The one-block and discrete partitions are always included.
+    The one-block and discrete partitions are always included.  There are
+    Bell(n) partitions, so n is capped at ``MAX_PARTITION_STATES``.
     """
-    if ts.n > max_states:
+    if ts.n > MAX_PARTITION_STATES:
         raise ResourceLimitError(
-            "partitions", f"partition enumeration capped at {max_states} states"
+            "partitions", f"partition enumeration capped at {MAX_PARTITION_STATES} states"
         )
     gens = ts.generating_images()
     out = []
@@ -236,10 +248,14 @@ class FunctorialityReport:
 
     Four grouped verdicts: order_maps (element map induces surjections of
     the L and J preorders and class posets), images_onto (state map carries
-    I(X) onto I(Y)), subduction (every subduction witness transports
-    verbatim and the target relation holds), squares (all node maps commute
-    with both diagrams' arrows).  The skeleton-level map gets its own
-    well-definedness, order-preservation and surjectivity verdicts.
+    I(X) onto I(Y)), subduction (every orbit edge Q -> Q^g transports, so
+    every subduction witness transports verbatim, and the target relation
+    holds), squares (all node maps commute with both diagrams' arrows).
+    The skeleton-level map gets its own well-definedness,
+    order-preservation and surjectivity verdicts.  The target relation and
+    all three come from one ``induce`` of the two subduction preorders,
+    tried only when images_onto holds; when it is not tried or refuses the
+    map, all four read False.
     """
 
     order_maps: dict
@@ -298,7 +314,11 @@ def _extended_elem_map(m):
 
 
 def functoriality_check(m):
-    """Verify that the whole order apparatus transports along a valid morphism."""
+    """Verify that the whole order apparatus transports along a valid morphism.
+
+    ``validate`` runs first; a morphism its caller has validated already
+    returns the stored verdict.
+    """
     ok, violation = validate(m)
     if not ok:
         raise ValueError(f"morphism fails validation: {violation}")
@@ -330,51 +350,41 @@ def functoriality_check(m):
             set(psi.values()) ^ set(iy.subsets), key=StateSubset.sort_key
         )
 
-    # (c) subduction transports: the very witness works downstairs; only
-    # the pairs the source relation holds on have a witness to look for
-    verbatim = True
-    target_holds = True
-    sp = subduction_preorder(sm)
-    for i, P in enumerate(ix.subsets):
-        for j, Q in enumerate(ix.subsets):
-            if not sp.leq_idx(i, j):
-                continue
-            w = subduction_leq(P, Q, sm)
-            if not psi[P].issubset(psi[Q].apply(phi[w.s])):
-                verbatim = False
-                witnesses.setdefault("transport", (P, Q, w.s))
-            if subduction_leq(psi[P], psi[Q], tm) is None:
-                target_holds = False
-                witnesses.setdefault("target_subduction", (P, Q))
-    subduction = {"verbatim": verbatim, "target_relation": target_holds}
+    # (c) subduction transports verbatim: if psi(Q^g) = psi(Q)^phi(g) on
+    # every orbit edge, induction on word length gives it for every s in
+    # S^1, so a witness s of P <= Q^s gives psi(P) <= psi(Q)^phi(s)
+    gens = [Transformation(g) for g in sm.generating_images()]
+    transport = next(
+        (
+            (Q, g)
+            for Q in ix.subsets
+            for g in gens
+            if m.map_subset(Q.apply(g)) != psi[Q].apply(phi[g])
+        ),
+        None,
+    )
+    if transport is not None:
+        witnesses["transport"] = transport
 
-    # skeleton-level node map, with its own verdicts
-    sqx = skeleton_poset(sm)
-    sqy = skeleton_poset(tm)
-    skel_map = [None] * len(sqx)
-    well_defined = True
-    for ci, cls in enumerate(sqx.classes):
-        targets = {sqy.class_of.get(psi[P]) for P in cls}
-        if len(targets) != 1 or None in targets:
-            well_defined = False
-            break
-        skel_map[ci] = targets.pop()
-    order_preserving = well_defined and order_violation(sqx.rows, sqy.rows, skel_map) is None
-    surjective = well_defined and set(skel_map) == set(range(len(sqy)))
+    # the target relation and the skeleton-level node map: psi induces a
+    # map of the subduction preorders, or the first pair it breaks
+    skeleton = None
+    if images_onto:
+        try:
+            skeleton = induce(psi, subduction_preorder(sm), subduction_preorder(tm))
+        except NotAMorphismError as err:
+            witnesses["target_subduction"] = err.witness
+    well_defined = skeleton is not None
+    subduction = {"verbatim": transport is None, "target_relation": well_defined}
     skeleton_map = {
         "well_defined": well_defined,
-        "order_preserving": order_preserving,
-        "surjective": surjective,
+        "order_preserving": well_defined,
+        "surjective": well_defined and skeleton.is_surjective(),
     }
 
     # (d) the six node maps against every arrow of the two diagrams
     squares = {}
-    ready = (
-        well_defined
-        and images_onto
-        and all(v["morphism"] for v in order_maps.values())
-    )
-    if ready:
+    if well_defined and all(v["morphism"] for v in order_maps.values()):
         lqx, lqy = green_poset(sm, "L"), green_poset(tm, "L")
         jqx, jqy = green_poset(sm, "J"), green_poset(tm, "J")
         iqx, iqy = inclusion_poset(sm), inclusion_poset(tm)
@@ -397,7 +407,7 @@ def functoriality_check(m):
             alpha_j[lj_x[c]] == lj_y[alpha_l[c]] for c in range(len(lqx))
         )
         squares["inclusion_to_skeleton_collapse"] = all(
-            skel_map[sqx.class_of[P]] == sqy.class_of[psi[P]] for P in ix.subsets
+            skeleton.apply(P) == skeleton.target.class_of[psi[P]] for P in ix.subsets
         )
         squares["im_bar"] = all(
             iqy.classes[iby.class_map[alpha_l[c]]][0]
@@ -405,7 +415,7 @@ def functoriality_check(m):
             for c in range(len(lqx))
         )
         squares["im_bar_S"] = all(
-            ibsy.class_map[alpha_j[d]] == skel_map[ibsx.class_map[d]]
+            ibsy.class_map[alpha_j[d]] == skeleton.class_map[ibsx.class_map[d]]
             for d in range(len(jqx))
         )
     else:

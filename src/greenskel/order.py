@@ -234,12 +234,6 @@ class ClassPoset:
     def strict_up_mask(self, ci):
         return self.rows[ci] & ~(1 << ci)
 
-    def up_covers(self, ci):
-        return tuple(j for lo, j in self.covers if lo == ci)
-
-    def down_covers(self, ci):
-        return tuple(lo for lo, j in self.covers if j == ci)
-
     def levels(self):
         """Longest-chain height of every class above the minimal ones."""
         order = sorted(range(len(self.classes)), key=lambda i: _down_count(self.rows, i))

@@ -10,17 +10,13 @@ set.  Inclusion commutes with the action (P <= R gives P^s <= R^s), so
 subduction is the reflexive-transitive closure of the orbit edges and the
 inclusions together: |I(X)|*|G| subset images, not |I(X)|^2*|S^1|.  The
 extended carrier is closed too, since singletons map to singletons.
-
-``subduction_leq`` answers a single pair with its witness: the first s in
-S^1, identity first and then the elements in canonical order, with
-P <= Q^s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import DomainMismatchError, StateSubset, apply_mask, per_monoid
+from .core import StateSubset, apply_mask, per_monoid
 from .order import Preorder, transitive_closure_rows
 
 
@@ -72,39 +68,6 @@ def extended_image_set(m):
     )
     subsets = tuple(sorted(set(base.subsets) | adjoined, key=StateSubset.sort_key))
     return ImageSet(m.n, subsets, dict(base.origin), adjoined)
-
-
-@dataclass(frozen=True)
-class SubductionWitness:
-    """An element s with P contained in Q^s."""
-
-    s: object
-    P: StateSubset
-    Q: StateSubset
-
-    def __post_init__(self):
-        if not self.P.issubset(self.Q.apply(self.s)):
-            raise ValueError(f"{self.s!r} does not carry {self.Q!r} over {self.P!r}")
-
-
-def subduction_leq(P, Q, ts):
-    """First witness s (identity first, then canonical) with P <= Q^s, or None.
-
-    |P| > |Q| is rejected outright: images never grow under the action.
-    The scan applies each element to Q in turn and stops at the first hit.
-    """
-    m = ts.adjoin_identity()
-    if len(P) > len(Q):
-        return None
-    if Q.n != m.n:
-        raise DomainMismatchError("subset and map act on different state counts")
-    pmask, qmask = P.mask, Q.mask
-    if pmask & ~qmask == 0:
-        return SubductionWitness(m.identity(), P, Q)
-    for s in m.elements:
-        if pmask & ~apply_mask(qmask, s.images) == 0:
-            return SubductionWitness(s, P, Q)
-    return None
 
 
 @per_monoid

@@ -1,12 +1,17 @@
 """Slow, independent reference implementations used as test oracles.
 
-Everything here works on raw image tuples and plain Python sets, avoiding
-the library's bit masks, caching, and ordering conventions on purpose.
+Most of it works on raw image tuples and plain Python sets, avoiding the
+library's bit masks, caching, and ordering conventions on purpose.  The
+few oracles that take the library's objects, so that witnesses and error
+messages compare exactly, say so.
 """
 
 import itertools
+from dataclasses import dataclass
 
+from greenskel.core import DomainMismatchError, StateSubset, apply_mask
 from greenskel.order import MalformedPreorderError, _tarjan_sccs
+from greenskel.skeleton import image_set
 
 
 def comp(s, t):
@@ -80,6 +85,106 @@ def act(subset, s):
 
 def subduction(P, Q, monoid):
     return any(P <= act(Q, s) for s in monoid)
+
+
+def is_closed(ts):
+    """Does every product of two elements of ``ts`` lie in ``ts``?  All pairs."""
+    els = set(ts.elements)
+    return all(s * t in els for s in ts.elements for t in ts.elements)
+
+
+@dataclass(frozen=True)
+class SubductionWitness:
+    """An element s with P contained in Q^s."""
+
+    s: object
+    P: StateSubset
+    Q: StateSubset
+
+    def __post_init__(self):
+        if not self.P.issubset(self.Q.apply(self.s)):
+            raise ValueError(f"{self.s!r} does not carry {self.Q!r} over {self.P!r}")
+
+
+def subduction_leq(P, Q, ts):
+    """First witness s (identity first, then canonical) with P <= Q^s, or None.
+
+    |P| > |Q| is rejected outright: images never grow under the action.
+    The scan applies each element to Q in turn and stops at the first hit.
+    Unlike the rest of this module it takes the library's subsets and
+    elements, so that witnesses compare exactly.
+    """
+    m = ts.adjoin_identity()
+    if len(P) > len(Q):
+        return None
+    if Q.n != m.n:
+        raise DomainMismatchError("subset and map act on different state counts")
+    pmask, qmask = P.mask, Q.mask
+    if pmask & ~qmask == 0:
+        return SubductionWitness(m.identity(), P, Q)
+    for s in m.elements:
+        if pmask & ~apply_mask(qmask, s.images) == 0:
+            return SubductionWitness(s, P, Q)
+    return None
+
+
+def functoriality_subduction(m):
+    """The subduction and skeleton-map verdicts of a functoriality check, pair by pair.
+
+    Every pair (P, Q) of I(X) is scanned, i then j, with ``subduction_leq``
+    on both sides: a source witness s must give psi(P) <= psi(Q)^phi(s)
+    ("verbatim"), and psi(P) <= psi(Q) must hold downstairs
+    ("target_relation", whose first failing pair is returned as the
+    witness).  The skeleton classes are the groups of mutual subduction,
+    and the node map is built class by class.  Returns
+    ``(subduction, skeleton_map, target_witness)``.
+    """
+    sm, tm = m.source.adjoin_identity(), m.target.adjoin_identity()
+    phi = dict(m.elem_map)
+    phi.setdefault(sm.identity(), tm.identity())
+
+    def psi(P):
+        return StateSubset.of(m.target.n, (m.state_map[x] for x in P))
+
+    def leq_x(P, Q):
+        return subduction_leq(P, Q, sm) is not None
+
+    def leq_y(P, Q):
+        return subduction_leq(P, Q, tm) is not None
+
+    ix = image_set(sm).subsets
+    cx = classes_by_mutual(ix, leq_x)
+    cy = classes_by_mutual(image_set(tm).subsets, leq_y)
+    verbatim = True
+    target_witness = None
+    for P in ix:
+        for Q in ix:
+            w = subduction_leq(P, Q, sm)
+            if w is None:
+                continue
+            if not psi(P).issubset(psi(Q).apply(phi[w.s])):
+                verbatim = False
+            if not leq_y(psi(P), psi(Q)) and target_witness is None:
+                target_witness = (P, Q)
+    class_of_y = {P: k for k, cls in enumerate(cy) for P in cls}
+    node_map = []
+    for cls in cx:
+        targets = {class_of_y.get(psi(P)) for P in cls}
+        if len(targets) != 1 or None in targets:
+            node_map = None
+            break
+        node_map.append(targets.pop())
+    well_defined = node_map is not None
+    order_preserving = well_defined and all(
+        leq_y(psi(a[0]), psi(b[0])) for a in cx for b in cx if leq_x(a[0], b[0])
+    )
+    skeleton_map = {
+        "well_defined": well_defined,
+        "order_preserving": order_preserving,
+        "surjective": well_defined and sorted(set(node_map)) == list(range(len(cy))),
+    }
+    subduction = {"verbatim": verbatim, "target_relation": target_witness is None}
+    return subduction, skeleton_map, target_witness
 
 
 def transitive(pairs, items):

@@ -27,7 +27,6 @@ from greenskel import (
     quotient_ts,
     right_regular,
     skeleton_poset,
-    subduction_leq,
     subduction_preorder,
     validate,
     verify_diagram,
@@ -43,6 +42,7 @@ from greenskel.catalog import (
 from greenskel.cli import emit_dot, parse, report_data, report_text, run
 
 import naive
+from naive import subduction_leq
 from conftest import sample_semigroups
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"

@@ -171,7 +171,7 @@ class TestGenerate:
         n = gens[0].n
         ts = TransformationSemigroup.generate(n, gens, max_elements=300)
         assert {t.images for t in ts} == naive.close([g.images for g in gens])
-        assert ts.is_closed()
+        assert naive.is_closed(ts)
         assert_stored_generating_set_is_searched(ts)
 
     def test_canonical_numbering_is_lex_sorted(self):
@@ -256,8 +256,8 @@ class TestSemigroup:
         t = Transformation.from_one_based([2, 2, 2])
         u = Transformation.from_one_based([3, 3, 3])
         open_set = TransformationSemigroup(3, [t], [t, Transformation.from_one_based([2, 3, 1])])
-        assert not open_set.is_closed()
-        assert TransformationSemigroup(3, [t, u], [t, u]).is_closed()
+        assert not naive.is_closed(open_set)
+        assert naive.is_closed(TransformationSemigroup(3, [t, u], [t, u]))
 
 
 def without_identity():

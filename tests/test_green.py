@@ -125,7 +125,7 @@ class TestPreorders:
         # a product leaves a non-closed element set
         ts = collapse_motif()
         trimmed = TransformationSemigroup(ts.n, ts.generators, ts.elements[:-1])
-        assert not trimmed.is_closed()
+        assert not naive.is_closed(trimmed)
         for kind in ("R", "L", "J", "H"):
             with pytest.raises(KeyError):
                 green_preorder(trimmed, kind)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from greenskel import (
     quotient_ts,
     validate,
 )
+from greenskel import morphisms
 from greenskel.catalog import chain_collapse, full_tmonoid, right_zero, trivial
 
 import naive
@@ -82,6 +84,42 @@ class TestValidate:
         bad = TsMorphism(ts, target, (0, 1, 1), q.elem_map)
         ok, witness = validate(bad)
         assert not ok and witness == ("compatibility", (1, t1))
+
+    def test_laws_checked_once_per_morphism(self, monkeypatch):
+        calls = []
+        check = morphisms._check_laws
+        monkeypatch.setattr(morphisms, "_check_laws", lambda m: calls.append(m) or check(m))
+        ts = chain_collapse()
+        _, q = merge_13(ts)
+        assert validate(q) == validate(q) == (True, None)
+        functoriality_check(q)
+        assert calls == [q]
+        bad = TsMorphism(ts, q.target, (0, 0, 0), q.elem_map)
+        assert validate(bad) == validate(bad) == (False, ("state_map_not_onto", 1))
+        with pytest.raises(ValueError, match="state_map_not_onto"):
+            functoriality_check(bad)
+        assert calls == [q, bad]
+
+    def test_maps_are_read_only(self):
+        ts = chain_collapse()
+        _, q = merge_13(ts)
+        given = dict(q.elem_map)
+        m = TsMorphism(ts, q.target, list(q.state_map), given)
+        assert validate(m) == (True, None)
+        for name in ("state_map", "elem_map", "source", "target", "_verdict"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del m._verdict
+        with pytest.raises(TypeError):
+            m.elem_map[ts.identity()] = Transformation((0, 0))
+        with pytest.raises(TypeError):
+            m.state_map[0] = 1
+        # the morphism holds its own copy of the mapping it was given
+        given[ts.identity()] = Transformation((0, 0))
+        assert m.elem_map[ts.identity()].is_identity()
+        assert isinstance(m.state_map, tuple) and m == q
+        assert validate(m) == (True, None)
 
     def test_state_map_length_checked_up_front(self):
         ts = chain_collapse()
@@ -198,6 +236,36 @@ class TestValidateDifferential:
             validate(trimmed)
         with pytest.raises(KeyError):
             naive.validate(trimmed)
+
+
+class TestFunctorialityDifferential:
+    """Subduction and skeleton-map verdicts against the pairwise oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(m):
+        report = functoriality_check(m)
+        subduction, skeleton_map, target_witness = naive.functoriality_subduction(m)
+        assert report.subduction == subduction
+        assert report.skeleton_map == skeleton_map
+        assert report.witnesses.get("target_subduction") == target_witness
+
+    def test_catalog_quotients(self, fixtures):
+        count = 0
+        for name, ts in fixtures.items():
+            for p in admissible_partitions(ts):
+                self.assert_matches_oracle(quotient_ts(ts, p)[1])
+                count += 1
+        assert count == 27
+
+    @settings(max_examples=100, deadline=None)
+    @given(morphism_cases())
+    def test_valid_morphism_cases(self, m):
+        assume(outcome(validate, m) == (True, None))
+        if outcome(functoriality_check, m) is KeyError:
+            # an orbit step leaves an element set that is not closed
+            assert not naive.is_closed(m.source)
+            return
+        self.assert_matches_oracle(m)
 
 
 class TestPartitions:

@@ -236,7 +236,7 @@ class TestQuotient:
         q = quotient(p)
         assert q.levels() == [0, 1, 1, 2]
         assert q.minimal() == (0,) and q.maximal() == (3,)
-        assert q.up_covers(0) == (1, 2) and q.down_covers(3) == (1, 2)
+        assert q.covers == ((0, 1), (0, 2), (1, 3), (2, 3))
 
     @given(quotient_inputs())
     @settings(max_examples=400)

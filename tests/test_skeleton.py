@@ -12,7 +12,6 @@ from greenskel import (
     inclusion_poset,
     inclusion_preorder,
     skeleton_poset,
-    subduction_leq,
     subduction_preorder,
 )
 from greenskel.catalog import (
@@ -25,9 +24,8 @@ from greenskel.catalog import (
     right_zero,
     trivial,
 )
-from greenskel.skeleton import SubductionWitness
-
 import naive
+from naive import SubductionWitness, subduction_leq
 
 
 def subsets_one_based(iset):

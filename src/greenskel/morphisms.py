@@ -255,7 +255,9 @@ class FunctorialityReport:
     order-preservation and surjectivity verdicts.  The target relation and
     all three come from one ``induce`` of the two subduction preorders,
     tried only when images_onto holds; when it is not tried or refuses the
-    map, all four read False.
+    map, all four read False.  The squares L_quotient, J_quotient and
+    inclusion_to_skeleton_collapse are the item->class squares of the L, J
+    and skeleton induces, which raise unless they commute; the rest are computed.
     """
 
     order_maps: dict
@@ -396,19 +398,15 @@ def functoriality_check(m):
         lj_x = tuple(jqx.class_of[cls[0]] for cls in lqx.classes)
         lj_y = tuple(jqy.class_of[cls[0]] for cls in lqy.classes)
 
-        squares["L_quotient"] = all(
-            alpha_l[lqx.class_of[s]] == lqy.class_of[phi[s]] for s in sm.elements
-        )
-        squares["J_quotient"] = all(
-            alpha_j[jqx.class_of[s]] == jqy.class_of[phi[s]] for s in sm.elements
-        )
+        # the induces of phi on L and J raise unless these squares commute
+        squares["L_quotient"] = True
+        squares["J_quotient"] = True
         squares["im"] = all(psi[imx[s]] == imy[phi[s]] for s in sm.elements)
         squares["L_to_J_collapse"] = all(
             alpha_j[lj_x[c]] == lj_y[alpha_l[c]] for c in range(len(lqx))
         )
-        squares["inclusion_to_skeleton_collapse"] = all(
-            skeleton.apply(P) == skeleton.target.class_of[psi[P]] for P in ix.subsets
-        )
+        # the item->class square of the skeleton induce, which raises unless it commutes
+        squares["inclusion_to_skeleton_collapse"] = True
         squares["im_bar"] = all(
             iqy.classes[iby.class_map[alpha_l[c]]][0]
             == psi[iqx.classes[ibx.class_map[c]][0]]

@@ -10,8 +10,9 @@ import itertools
 from dataclasses import dataclass
 
 from greenskel.core import DomainMismatchError, StateSubset, apply_mask
+from greenskel.green import green_preorder
 from greenskel.order import MalformedPreorderError, _tarjan_sccs
-from greenskel.skeleton import image_set
+from greenskel.skeleton import image_set, subduction_preorder
 
 
 def comp(s, t):
@@ -185,6 +186,169 @@ def functoriality_subduction(m):
     }
     subduction = {"verbatim": verbatim, "target_relation": target_witness is None}
     return subduction, skeleton_map, target_witness
+
+
+def relation(p):
+    """A library preorder as a plain set of item pairs."""
+    return {
+        (a, b)
+        for i, a in enumerate(p.items)
+        for j, b in enumerate(p.items)
+        if p.rows[i] >> j & 1
+    }
+
+
+def mutual_classes(items, pairs):
+    """Each item -> the frozenset of items related to it both ways."""
+    return {
+        a: frozenset(b for b in items if (a, b) in pairs and (b, a) in pairs)
+        for a in items
+    }
+
+
+def class_order(cls, pairs):
+    """Pairs of classes (A, B) with every member of A below every member of B."""
+    classes = set(cls.values())
+    return {
+        (A, B)
+        for A in classes
+        for B in classes
+        if all((a, b) in pairs for a in A for b in B)
+    }
+
+
+def arrow(src_items, src_pairs, dst_items, dst_pairs, f):
+    """Surjective and order-preserving verdicts of the map ``f`` (a dict)."""
+    return {
+        "surjective": {f[a] for a in src_items} == set(dst_items),
+        "order_preserving": all((f[a], f[b]) in dst_pairs for a, b in src_pairs),
+    }
+
+
+def induced(items, f, src_cls, dst_cls):
+    """Class -> class map read off the members, the last member winning."""
+    return {src_cls[a]: dst_cls[f[a]] for a in items}
+
+
+def square(items, f, src_cls, dst_cls):
+    """Does class(a) -> class(f(a)) agree with the induced class map on every item?"""
+    g = induced(items, f, src_cls, dst_cls)
+    return all(g[src_cls[a]] == dst_cls[f[a]] for a in items)
+
+
+def fibres_are_unions(items, f, src_cls, dst_cls):
+    """Is the preimage of every target class a union of source classes?"""
+    for target in {dst_cls[f[a]] for a in items}:
+        preimage = {a for a in items if dst_cls[f[a]] == target}
+        if preimage != set().union(*(src_cls[a] for a in preimage)):
+            return False
+    return True
+
+
+def diagram(ts):
+    """Every verdict of ``verify_diagram``, decided the way each law reads.
+
+    The L, J and subduction relations come from the library's preorders as
+    plain pair sets (other tests compare those with the ideal and
+    subduction oracles); inclusion is ``issubset``.  Classes, class orders,
+    the induced maps and every verdict are then built on plain sets and
+    dicts.  Returns the ``DiagramReport.to_dict()`` document.
+    """
+    m = ts.adjoin_identity()
+    S = m.elements
+    I = image_set(m).subsets
+    im = {t: t.image() for t in S}
+    lrel = relation(green_preorder(m, "L"))
+    jrel = relation(green_preorder(m, "J"))
+    incl = {(P, Q) for P in I for Q in I if P.issubset(Q)}
+    subd = relation(subduction_preorder(m))
+    lcls, jcls = mutual_classes(S, lrel), mutual_classes(S, jrel)
+    icls, scls = mutual_classes(I, incl), mutual_classes(I, subd)
+    lord, jord = class_order(lcls, lrel), class_order(jcls, jrel)
+    iord, sord = class_order(icls, incl), class_order(scls, subd)
+    lset, jset = set(lcls.values()), set(jcls.values())
+    iset, sset = set(icls.values()), set(scls.values())
+    l_to_j = {lcls[t]: jcls[t] for t in S}
+    i_to_s = {icls[P]: scls[P] for P in I}
+    ibar = induced(S, im, lcls, icls)
+    ibar_s = induced(S, im, jcls, scls)
+
+    arrows = {
+        "S1->S1/L": arrow(S, lrel, lset, lord, lcls),
+        "S1->S1/J": arrow(S, jrel, jset, jord, jcls),
+        "im": {
+            "surjective": set(im.values()) == set(I),
+            "order_preserving": all((im[a], im[b]) in incl for a, b in lrel)
+            and all((im[a], im[b]) in subd for a, b in jrel),
+        },
+        "S1/L->S1/J": arrow(lset, lord, jset, jord, l_to_j),
+        "I(X)->skeleton": arrow(iset, iord, sset, sord, i_to_s),
+        "im_bar": arrow(lset, lord, iset, iord, ibar),
+        "im_bar_S": arrow(jset, jord, sset, sord, ibar_s),
+    }
+    commutes = {
+        "im_bar o /L = im": all(ibar[lcls[t]] == {im[t]} for t in S),
+        "im_bar_S o collapse = collapse o im_bar": all(
+            ibar_s[l_to_j[A]] == i_to_s[ibar[A]] for A in lset
+        ),
+        "paths S1->skeleton": square(S, im, jcls, scls),
+    }
+    preimage_unions = {
+        "im_bar fibers are unions of L-classes": fibres_are_unions(S, im, lcls, icls),
+        "im_bar_S fibers are unions of J-classes": fibres_are_unions(S, im, jcls, scls),
+    }
+    verdicts = [v for a in arrows.values() for v in a.values()]
+    verdicts += list(commutes.values()) + list(preimage_unions.values())
+    return {
+        "sizes": {
+            "S1": len(S),
+            "S1/L": len(lset),
+            "S1/J": len(jset),
+            "I(X)": len(I),
+            "skeleton": len(sset),
+        },
+        "arrows": arrows,
+        "commutes": commutes,
+        "preimage_unions": preimage_unions,
+        "passed": all(verdicts),
+    }
+
+
+def functoriality_squares(m):
+    """The item->class squares of a functoriality check, on plain sets.
+
+    ``L_quotient`` and ``J_quotient`` for the element map phi on the Green
+    classes, ``inclusion_to_skeleton_collapse`` for the state map psi on
+    the subduction classes.  As in the report, all three read False unless
+    phi respects both Green preorders and psi carries I(X) onto I(Y)
+    respecting subduction.
+    """
+    sm, tm = m.source.adjoin_identity(), m.target.adjoin_identity()
+    phi = dict(m.elem_map)
+    phi.setdefault(sm.identity(), tm.identity())
+    ix, iy = image_set(sm).subsets, image_set(tm).subsets
+    psi = {P: StateSubset.of(m.target.n, (m.state_map[x] for x in P)) for P in ix}
+    rel = {
+        (side, kind): relation(green_preorder(side, kind))
+        for side in (sm, tm)
+        for kind in ("L", "J")
+    }
+    subx, suby = relation(subduction_preorder(sm)), relation(subduction_preorder(tm))
+    gate = set(psi.values()) == set(iy)
+    gate = gate and all((psi[P], psi[Q]) in suby for P, Q in subx)
+    for kind in ("L", "J"):
+        gate = gate and all((phi[a], phi[b]) in rel[tm, kind] for a, b in rel[sm, kind])
+    if not gate:
+        return dict.fromkeys(("L_quotient", "J_quotient", "inclusion_to_skeleton_collapse"), False)
+    out = {}
+    for kind in ("L", "J"):
+        src_cls = mutual_classes(sm.elements, rel[sm, kind])
+        dst_cls = mutual_classes(tm.elements, rel[tm, kind])
+        out[f"{kind}_quotient"] = square(sm.elements, phi, src_cls, dst_cls)
+    out["inclusion_to_skeleton_collapse"] = square(
+        ix, psi, mutual_classes(ix, subx), mutual_classes(iy, suby)
+    )
+    return out
 
 
 def transitive(pairs, items):

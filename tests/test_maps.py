@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from greenskel import (
     green_poset,
     green_preorder,
@@ -16,8 +18,11 @@ from greenskel.catalog import (
     nonlattice,
     trivial,
 )
+from greenskel.cli import build_semigroup, parse
 
 import naive
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 
 class TestImRespectsOrders:
@@ -100,6 +105,7 @@ class TestDiagram:
         for name, ts in fixtures.items():
             report = verify_diagram(ts)
             assert report.passed, name
+            assert report.to_dict() == naive.diagram(ts), name
 
     def test_sizes_consistent(self):
         m = nonlattice()
@@ -121,6 +127,13 @@ class TestDiagram:
             f = im_map(m)
             for t in m.elements:
                 assert ibs.class_map[jq.class_of[t]] == sq.class_of[f[t]]
+
+    def test_inputs_match_oracle(self):
+        paths = sorted(INPUTS.glob("*.tsg"))
+        assert paths
+        for path in paths:
+            ts = build_semigroup(parse(path.read_text(encoding="utf-8")), 1_000_000)
+            assert verify_diagram(ts).to_dict() == naive.diagram(ts), path.name
 
     def test_report_serialization(self):
         report = verify_diagram(chain_collapse())

@@ -239,7 +239,7 @@ class TestValidateDifferential:
 
 
 class TestFunctorialityDifferential:
-    """Subduction and skeleton-map verdicts against the pairwise oracle."""
+    """Subduction, skeleton-map and item->class square verdicts against the oracles."""
 
     @staticmethod
     def assert_matches_oracle(m):
@@ -248,6 +248,8 @@ class TestFunctorialityDifferential:
         assert report.subduction == subduction
         assert report.skeleton_map == skeleton_map
         assert report.witnesses.get("target_subduction") == target_witness
+        squares = naive.functoriality_squares(m)
+        assert {name: report.squares[name] for name in squares} == squares
 
     def test_catalog_quotients(self, fixtures):
         count = 0

@@ -16,6 +16,7 @@ from greenskel import (
 )
 from greenskel.catalog import chain_collapse
 from greenskel.order import (
+    ClassPoset,
     _transitive_reduction,
     is_order_isomorphism,
     order_violation,
@@ -352,8 +353,30 @@ class TestMorphism:
     def test_induced_identity_is_order_isomorphism(self):
         p = preorder_from_pairs("abc", [("a", "b"), ("b", "c")])
         out = induce({x: x for x in "abc"}, p, p)
-        assert out.is_order_isomorphism()
+        assert is_order_isomorphism(out.source.rows, out.target.rows, out.class_map)
         assert out.apply("b") == out.source.class_of["b"]
+
+    def test_induce_rejects_class_split_across_target_classes(self):
+        # a ~ b onto x ~ y respects the items; a target poset that splits
+        # x from y sends the one source class into two classes
+        src = preorder_from_pairs("ab", [("a", "b"), ("b", "a")])
+        dst = preorder_from_pairs("xy", [("x", "y"), ("y", "x")])
+        dst.__dict__["poset"] = ClassPoset(
+            dst.items, (("x",), ("y",)), [0b11, 0b11], (), {"x": 0, "y": 1}
+        )
+        with pytest.raises(AssertionError, match="class of 'a' maps into 2 target classes"):
+            induce({"a": "x", "b": "y"}, src, dst)
+
+    def test_induce_rejects_class_map_breaking_class_order(self):
+        # a <= b onto x <= y respects the items; target class rows that
+        # leave x and y unrelated break the order of the class map
+        src = preorder_from_pairs("ab", [("a", "b")])
+        dst = preorder_from_pairs("xy", [("x", "y")])
+        dst.__dict__["poset"] = ClassPoset(
+            dst.items, (("x",), ("y",)), [0b01, 0b10], (), {"x": 0, "y": 1}
+        )
+        with pytest.raises(AssertionError, match="induced class map is not order-preserving"):
+            induce({"a": "x", "b": "y"}, src, dst)
 
 
 class TestOrderViolation:

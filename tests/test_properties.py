@@ -117,6 +117,7 @@ def test_im_and_diagram(ts):
     report = verify_diagram(m)
     assert all(report.arrows["im"].values()) and report.witnesses == {}
     assert report.passed
+    assert report.to_dict() == naive.diagram(m)
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,9 +7,11 @@ A transformation acts on the right, so the product ``s * t`` means
 
 from __future__ import annotations
 
+import bisect
 import functools
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class DomainMismatchError(ValueError):
@@ -24,11 +26,33 @@ class ResourceLimitError(RuntimeError):
         self.stage = stage
 
 
-@dataclass(frozen=True, repr=False)
+def multiplier(u):
+    """The function taking an image tuple g to that of u*g (first u, then g).
+
+    This is the one tuple product of the package: bound once to u, it is
+    applied to every g that u is multiplied by.
+    """
+    if len(u) == 1:
+        x = u[0]
+        return lambda g: (g[x],)
+    return itemgetter(*u)
+
+
+@dataclass(frozen=True, repr=False, slots=True)
 class Transformation:
-    """A total map on {0..n-1}, stored as the tuple of images."""
+    """A total map on {0..n-1}, stored as the tuple of images.
+
+    ``Transformation(images)`` checks every entry.  Only a product of maps
+    that were checked already skips the check (``_product``, used by
+    ``__mul__`` and ``TransformationSemigroup.generate``): its entries are
+    entries of a checked map, so they are in range by construction.
+
+    The hash is computed once.  It is ``hash((images,))``, the value of the
+    generated dataclass hash, so sets of maps keep their iteration order.
+    """
 
     images: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         images = tuple(self.images)
@@ -39,6 +63,18 @@ class Transformation:
         for x in images:
             if not isinstance(x, int) or not 0 <= x < n:
                 raise ValueError(f"image entry {x!r} outside 0..{n - 1}")
+        object.__setattr__(self, "_hash", hash((images,)))
+
+    @classmethod
+    def _product(cls, images):
+        """A map from the image tuple of a product of checked maps, unchecked."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "images", images)
+        object.__setattr__(t, "_hash", hash((images,)))
+        return t
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_one_based(cls, seq):
@@ -61,7 +97,7 @@ class Transformation:
             return NotImplemented
         if other.n != self.n:
             raise DomainMismatchError(f"cannot compose maps on {self.n} and {other.n} states")
-        return Transformation(tuple(other.images[x] for x in self.images))
+        return Transformation._product(multiplier(self.images)(other.images))
 
     def __call__(self, x):
         return self.images[x]
@@ -170,21 +206,32 @@ class TransformationSemigroup:
 
     ``elements`` is kept sorted lexicographically by image tuple; that order
     is the canonical element numbering used for all reports and diagrams.
+
+    The constructor removes duplicates, sorts and checks that every map acts
+    on n states.  ``generate`` and ``adjoin_identity`` skip that work: their
+    elements are products of checked generators (plus the identity), which
+    they build distinct, sorted and on n states.
     """
 
     def __init__(self, n, generators, elements):
-        self.n = n
-        self.generators = tuple(dict.fromkeys(generators))
-        self.elements = tuple(sorted(set(elements), key=lambda t: t.images))
-        if not self.elements:
+        generators = tuple(dict.fromkeys(generators))
+        elements = tuple(sorted(set(elements), key=lambda t: t.images))
+        if not elements:
             raise ValueError("semigroup needs at least one element")
-        for t in self.generators + self.elements:
+        for t in generators + elements:
             if t.n != n:
                 raise DomainMismatchError(f"element {t} does not act on {n} states")
-        self._index = {t: i for i, t in enumerate(self.elements)}
+        self._setup(n, generators, elements)
+
+    def _setup(self, n, generators, elements, gens=None):
+        """Index distinct, sorted elements on n states; ``gens`` as ``_gens``."""
+        self.n = n
+        self.generators = generators
+        self.elements = elements
+        self._index = {t: i for i, t in enumerate(elements)}
         self.has_identity = Transformation.identity(n) in self._index
         self._one = None
-        self._gens = None
+        self._gens = gens
         self._memo = {}
 
     @classmethod
@@ -206,25 +253,26 @@ class TransformationSemigroup:
                 "enumerate",
                 f"element cap {max_elements} exceeded by {len(gens)} distinct generators",
             )
-        seen = dict.fromkeys(g.images for g in gens)
-        frontier = list(seen)
-        gen_images = [g.images for g in gens]
+        gen_images = tuple(g.images for g in gens)
+        seen = set(gen_images)
+        frontier = list(gen_images)
         while frontier:
             fresh = []
             for u in frontier:
+                times_u = multiplier(u)
                 for g in gen_images:
-                    w = tuple(g[x] for x in u)
+                    w = times_u(g)
                     if w not in seen:
                         if len(seen) >= max_elements:
                             raise ResourceLimitError(
                                 "enumerate",
                                 f"element cap {max_elements} exceeded while closing generators",
                             )
-                        seen[w] = None
+                        seen.add(w)
                         fresh.append(w)
             frontier = fresh
-        ts = cls(n, gens, [Transformation(w) for w in seen])
-        ts._gens = tuple(gen_images)
+        ts = cls.__new__(cls)
+        ts._setup(n, gens, tuple(map(Transformation._product, sorted(seen))), gen_images)
         return ts
 
     def __len__(self):
@@ -249,9 +297,17 @@ class TransformationSemigroup:
             return self
         if self._one is None:
             one = Transformation.identity(self.n)
-            S1 = TransformationSemigroup(self.n, self.generators + (one,), self.elements + (one,))
+            at = bisect.bisect(self.elements, one.images, key=lambda t: t.images)
+            gens = None
             if self._gens == tuple(g.images for g in self.generators):
-                S1._gens = self._gens + (one.images,)
+                gens = self._gens + (one.images,)
+            S1 = TransformationSemigroup.__new__(TransformationSemigroup)
+            S1._setup(
+                self.n,
+                tuple(dict.fromkeys(self.generators + (one,))),
+                self.elements[:at] + (one,) + self.elements[at:],
+                gens,
+            )
             S1._one = S1
             self._one = S1
         return self._one
@@ -282,8 +338,9 @@ class TransformationSemigroup:
             while frontier:
                 fresh = []
                 for u in frontier:
+                    times_u = multiplier(u)
                     for g in gens:
-                        w = tuple(g[x] for x in u)
+                        w = times_u(g)
                         if w in members and w not in reached:
                             reached.add(w)
                             fresh.append(w)

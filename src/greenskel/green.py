@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import per_monoid
+from .core import multiplier, per_monoid
 from .order import Preorder, transitive_closure_rows
 
 
@@ -28,14 +28,16 @@ def _reversed_cayley_rows(m, which):
     """
     index = {t.images: i for i, t in enumerate(m.elements)}
     gens = m.generating_images()
+    times_gens = [multiplier(g) for g in gens]
     rows = [0] * len(index)
     for s, i in index.items():
         bit = 1 << i
-        for g in gens:
+        times_s = multiplier(s)
+        for g, times_g in zip(gens, times_gens):
             if which != "L":
-                rows[index[tuple(g[x] for x in s)]] |= bit
+                rows[index[times_s(g)]] |= bit
             if which != "R":
-                rows[index[tuple(s[x] for x in g)]] |= bit
+                rows[index[times_g(s)]] |= bit
     return rows
 
 
@@ -132,21 +134,19 @@ def eggboxes(ts):
         member_set = set(cls)
         row_ids = sorted({rp.class_of[t] for t in cls})
         col_ids = sorted({lp.class_of[t] for t in cls})
+        col_of = {ci: k for k, ci in enumerate(col_ids)}
         cells = []
         flags = []
         for ri in row_ids:
-            row_cells = []
-            row_flags = []
-            for ci in col_ids:
-                cell = tuple(
-                    t for t in rp.classes[ri] if lp.class_of[t] == ci and t in member_set
-                )
-                if not cell:
-                    raise ConsistencyError("empty H-cell inside a D-class")
-                row_cells.append(cell)
-                row_flags.append(tuple(t.is_idempotent() for t in cell))
-            cells.append(tuple(row_cells))
-            flags.append(tuple(row_flags))
+            # one pass over the R-class fills its cells in R-class order
+            buckets = [[] for _ in col_ids]
+            for t in rp.classes[ri]:
+                if t in member_set:
+                    buckets[col_of[lp.class_of[t]]].append(t)
+            if not all(buckets):
+                raise ConsistencyError("empty H-cell inside a D-class")
+            cells.append(tuple(map(tuple, buckets)))
+            flags.append(tuple(tuple(t.is_idempotent() for t in cell) for cell in buckets))
         col_images = tuple(lp.classes[ci][0].image() for ci in col_ids)
         boxes.append(
             EggBox(

@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
-from .core import ResourceLimitError, StateSubset, Transformation, TransformationSemigroup
+from .core import (
+    ResourceLimitError,
+    StateSubset,
+    Transformation,
+    TransformationSemigroup,
+    multiplier,
+)
 from .green import green_poset, green_preorder
 from .maps import im_bar, im_bar_S, im_map
 from .order import NotAMorphismError, induce
@@ -79,11 +85,11 @@ def _homomorphism_violation(m):
     """
     phi = {s.images: m.elem_map[s].images for s in m.source.elements}
     gens = [(g, phi[g]) for g in m.source.generating_images()]
-    if all(
-        phi.get(tuple(g[x] for x in s)) == tuple(fg[y] for y in fs)
-        for s, fs in phi.items()
-        for g, fg in gens
-    ):
+    for s, fs in phi.items():
+        times_s, times_fs = multiplier(s), multiplier(fs)
+        if any(phi.get(times_s(g)) != times_fs(fg) for g, fg in gens):
+            break
+    else:
         return None
     for s in m.source.elements:
         for t in m.source.elements:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Transformation, TransformationSemigroup
+from .core import Transformation, TransformationSemigroup, multiplier
 from .green import ConsistencyError, green_poset, green_preorder
 from .maps import im_bar, im_bar_S
 from .order import induce, is_order_isomorphism, poset_isomorphic
@@ -50,10 +50,9 @@ def right_regular(ts, max_elements=1_000_000):
     state_of = {a: i for i, a in enumerate(carrier)}
     # rho(s) sends state a to state a*s, multiplied here on image tuples
     state_of_images = {a.images: i for a, i in state_of.items()}
+    times = [multiplier(a.images) for a in carrier]
     rho_of = {
-        s: Transformation(
-            tuple(state_of_images[tuple(s.images[x] for x in a.images)] for a in carrier)
-        )
+        s: Transformation(tuple(state_of_images[times_a(s.images)] for times_a in times))
         for s in m.elements
     }
     gens = tuple(rho_of[Transformation(g)] for g in ts.generating_images())

@@ -51,11 +51,12 @@ class ImageSet:
 @per_monoid
 def image_set(m):
     """I(X): every subset of the state set arising as an element's image."""
-    origin = {StateSubset.full(m.n): m.identity()}
+    first = {}
     for t in m.elements:
-        sub = t.image()
-        if sub not in origin:
-            origin[sub] = t
+        first.setdefault(frozenset(t.images), t)
+    origin = {StateSubset.full(m.n): m.identity()}
+    for image, t in first.items():
+        origin.setdefault(StateSubset.of(m.n, image), t)
     return ImageSet(m.n, tuple(sorted(origin, key=StateSubset.sort_key)), origin)
 
 

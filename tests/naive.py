@@ -72,6 +72,20 @@ def classes_by_mutual(items, leq):
     return out
 
 
+def image_set_origin(m):
+    """Each image of an element of ``m`` with its first witness in canonical order.
+
+    The full set comes first, witnessed by the identity.  Takes and returns
+    the library's objects, so that dict order and witnesses compare exactly.
+    """
+    origin = {StateSubset.full(m.n): m.identity()}
+    for t in m.elements:
+        sub = t.image()
+        if sub not in origin:
+            origin[sub] = t
+    return origin
+
+
 def image_of(s):
     return frozenset(s)
 

@@ -41,6 +41,40 @@ def same_n_pairs(max_n=5):
     )
 
 
+generator_lists = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(0, n - 1)] * n).map(Transformation), min_size=1, max_size=3
+    )
+)
+
+
+def assert_same_semigroup(fast, slow):
+    """``fast`` has ``slow``'s elements, numbering, generators and identity flag."""
+    assert fast.elements == slow.elements
+    assert fast.generators == slow.generators
+    assert fast.has_identity == slow.has_identity
+    assert [fast.index(t) for t in slow.elements] == list(range(len(slow)))
+    for t in fast.elements:
+        assert t == Transformation(t.images)
+        assert hash(t) == hash((t.images,))
+
+
+def assert_matches_constructor(n, gens):
+    """``generate`` and ``adjoin_identity`` against the validating constructor."""
+    ts = TransformationSemigroup.generate(n, gens, max_elements=300)
+    elements = [Transformation(w) for w in naive.close([g.images for g in gens])]
+    built = TransformationSemigroup(n, gens, elements)
+    assert_same_semigroup(ts, built)
+    one = Transformation.identity(n)
+    for s in (ts, built):
+        s1 = s.adjoin_identity()
+        if s.has_identity:
+            assert s1 is s
+        else:
+            expect = TransformationSemigroup(n, s.generators + (one,), s.elements + (one,))
+            assert_same_semigroup(s1, expect)
+
+
 def assert_stored_generating_set_is_searched(ts):
     for x in (ts, ts.adjoin_identity()):
         fresh = TransformationSemigroup(x.n, x.generators, x.elements)
@@ -55,6 +89,18 @@ class TestTransformation:
             Transformation((-1, 0))
         with pytest.raises(ValueError):
             Transformation(())
+        with pytest.raises(ValueError):
+            Transformation((0, 1.0))
+        for seq in ([1, 4, 2], [0, 1], [2]):
+            with pytest.raises(ValueError):
+                Transformation.from_one_based(seq)
+
+    @given(same_n_pairs())
+    def test_product_equals_checked_map(self, pair):
+        s, t = pair
+        st_ = s * t
+        assert st_ == Transformation(st_.images)
+        assert hash(st_) == hash((st_.images,)) == hash(Transformation(st_.images))
 
     def test_one_based_round_trip(self):
         t = Transformation.from_one_based([1, 3, 3])
@@ -163,9 +209,7 @@ class TestGenerate:
         gens = [g.images for g in ts.generators if not g.is_identity()]
         assert naive.with_identity(naive.close(gens), 5) == {t.images for t in ts}
 
-    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
-        st.tuples(*[st.integers(0, n - 1)] * n).map(Transformation),
-        min_size=1, max_size=3)))
+    @given(generator_lists)
     @settings(max_examples=60, deadline=None)
     def test_closure_matches_naive_oracle(self, gens):
         n = gens[0].n
@@ -173,6 +217,17 @@ class TestGenerate:
         assert {t.images for t in ts} == naive.close([g.images for g in gens])
         assert naive.is_closed(ts)
         assert_stored_generating_set_is_searched(ts)
+
+    @given(generator_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_constructor(self, gens):
+        assert_matches_constructor(gens[0].n, gens)
+
+    def test_matches_constructor_on_fixtures(self, fixtures):
+        for ts in fixtures.values():
+            assert_matches_constructor(ts.n, list(ts.generators))
+        for gens in ([(0,)], [(0, 0)], [(1, 0)], [(0, 0), (1, 1)]):
+            assert_matches_constructor(len(gens[0]), [Transformation(g) for g in gens])
 
     def test_canonical_numbering_is_lex_sorted(self):
         ts = nonlattice()
@@ -243,6 +298,15 @@ class TestSemigroup:
             built = TransformationSemigroup(f.n, f.generators[:1], f.elements)
             built.generating_images()
             assert_stored_generating_set_is_searched(built)
+
+    def test_constructor_checks_domains(self):
+        t = Transformation((0, 0))
+        with pytest.raises(DomainMismatchError):
+            TransformationSemigroup(3, [t], [t])
+        with pytest.raises(DomainMismatchError):
+            TransformationSemigroup(2, [Transformation((0,))], [t])
+        with pytest.raises(ValueError):
+            TransformationSemigroup(2, [t], [])
 
     def test_full_t3_size(self):
         assert len(full_tmonoid(3)) == 27

@@ -48,6 +48,14 @@ def test_closure_matches_naive(ts):
     assert {t.images for t in ts.elements} == expect
 
 
+@settings(max_examples=60, deadline=None)
+@given(semigroups())
+def test_image_set_matches_naive_scan(ts):
+    m = ts.adjoin_identity()
+    origin = naive.image_set_origin(m)
+    assert list(image_set(m).origin.items()) == list(origin.items())
+
+
 @settings(max_examples=40, deadline=None)
 @given(small)
 def test_green_preorders_match_naive(ts):

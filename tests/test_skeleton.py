@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -24,8 +26,11 @@ from greenskel.catalog import (
     right_zero,
     trivial,
 )
+from greenskel.cli import build_semigroup, parse
 import naive
 from naive import SubductionWitness, subduction_leq
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 
 def subsets_one_based(iset):
@@ -53,6 +58,15 @@ class TestImageSet:
                 w = iset.witness(p)
                 assert w in m and w.image() == p
             assert iset.witness(StateSubset.full(m.n)).is_identity()
+
+    def test_origin_matches_naive_scan(self, fixtures):
+        # same subsets, witnesses and dict order as scanning t.image()
+        inputs = [build_semigroup(parse(p.read_text())) for p in sorted(INPUTS.glob("*.tsg"))]
+        assert inputs
+        for ts in list(fixtures.values()) + inputs:
+            m = ts.adjoin_identity()
+            origin = naive.image_set_origin(m)
+            assert list(image_set(m).origin.items()) == list(origin.items())
 
     def test_matches_naive_images(self, fixtures):
         for ts in fixtures.values():

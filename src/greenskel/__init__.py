@@ -25,7 +25,6 @@ from .order import (
     MalformedPreorderError,
     NotAMorphismError,
     Preorder,
-    check_preorder_morphism,
     induce,
     lattice_violation,
     poset_isomorphic,
@@ -64,7 +63,6 @@ __all__ = [
     "TsMorphism",
     "admissible_partitions",
     "apply_mask",
-    "check_preorder_morphism",
     "corollary_check",
     "d_classes",
     "eggboxes",

@@ -344,12 +344,6 @@ def is_order_isomorphism(src_rows, dst_rows, f):
     )
 
 
-def check_preorder_morphism(f, src, dst):
-    """Does a <=1 b imply f(a) <=2 f(b)?  Returns (ok, first witness pair)."""
-    witness = _item_violation(_as_map(f, src.items), src, dst)
-    return witness is None, witness
-
-
 def _item_violation(fmap, src, dst):
     """First items (a, b) with a <= b in ``src`` but not fmap[a] <= fmap[b], else None."""
     found = order_violation(src.rows, dst.rows, [dst.index(fmap[a]) for a in src.items])
@@ -357,15 +351,6 @@ def _item_violation(fmap, src, dst):
         return None
     i, j = found
     return src.items[i], src.items[j]
-
-
-def _as_map(f, items):
-    if callable(f) and not isinstance(f, dict):
-        return {a: f(a) for a in items}
-    missing = [a for a in items if a not in f]
-    if missing:
-        raise ValueError(f"map not total on the source carrier, e.g. {missing[0]!r}")
-    return f
 
 
 @dataclass
@@ -393,34 +378,43 @@ class InducedMap:
 def induce(f, src, dst):
     """Quotient-level map of a preorder morphism; the one check of its laws.
 
-    Raises NotAMorphismError, with the first offending pair, unless the
-    item map respects the preorders.  One pass over the items, class by
-    class, then sends each source class to the target class of its first
-    member and requires every other member to land there too.  That one
-    statement is well-definedness on classes, the item->class square
+    The class rows of a quotient are exact: class(a) <= class(b) exactly
+    when a <= b.  So f respects the preorders exactly when (1) every member
+    of a source class lands in the target class of the class's first
+    member, and (2) the class map so defined respects the class rows.
+    Those two are decided here, by one pass of lookups over the items,
+    class by class, and one ``order_violation`` over the classes.  (1) is
+    also well-definedness on classes, the item->class square
     ``class_map[class(a)] == class(f(a))`` for every item, and "the
-    preimage of every target class is a union of source classes": the
-    preimage equals that union exactly when every item satisfies the
-    square.  Last, the class map must be order-preserving.  A failed class
-    law raises AssertionError; a returned map has passed all of them.
+    preimage of every target class is a union of source classes".
+
+    When either fails, the item-level check names the first offending pair
+    and NotAMorphismError carries it.  Only posets planted by hand, whose
+    class rows disagree with their items, can fail (1) or (2) with no such
+    pair; that raises AssertionError.  Both quotients are taken first, so
+    a malformed preorder raises MalformedPreorderError before any map law.
     """
-    fmap = _as_map(f, src.items)
-    witness = _item_violation(fmap, src, dst)
-    if witness is not None:
-        raise NotAMorphismError(witness)
+    missing = [a for a in src.items if a not in f]
+    if missing:
+        raise ValueError(f"map not total on the source carrier, e.g. {missing[0]!r}")
     sp = src.poset
     tp = dst.poset
     target_class = tp.class_of
     class_map = []
+    split = None
     for cls in sp.classes:
-        target = target_class[fmap[cls[0]]]
-        for a in cls[1:]:
-            if target_class[fmap[a]] != target:
-                count = len({target_class[fmap[b]] for b in cls})
-                raise AssertionError(f"class of {cls[0]!r} maps into {count} target classes")
+        target = target_class[f[cls[0]]]
+        if split is None and any(target_class[f[a]] != target for a in cls[1:]):
+            split = cls
         class_map.append(target)
     class_map = tuple(class_map)
-    if order_violation(sp.rows, tp.rows, class_map) is not None:
+    if split is not None or order_violation(sp.rows, tp.rows, class_map) is not None:
+        witness = _item_violation(f, src, dst)
+        if witness is not None:
+            raise NotAMorphismError(witness)
+        if split is not None:
+            count = len({target_class[f[b]] for b in split})
+            raise AssertionError(f"class of {split[0]!r} maps into {count} target classes")
         raise AssertionError("induced class map is not order-preserving")
     return InducedMap(sp, tp, class_map)
 

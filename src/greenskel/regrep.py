@@ -23,7 +23,9 @@ class RegRep:
 
     States of ``rep`` are the elements of S^1, identity first and the rest
     in canonical element order; ``state_of`` is that numbering.  ``rho_of``
-    holds rho(s) for every s in S^1, built once.
+    holds rho(s) for every s in S^1: each element of ``rep`` under the
+    element it represents, plus the identity map of the states when S has
+    no identity.
     """
 
     base: TransformationSemigroup
@@ -41,26 +43,32 @@ class RegRep:
 def right_regular(ts, max_elements=1_000_000):
     """Represent every element of S as right multiplication on S^1.
 
-    The representation is faithful: the identity state separates any two
-    distinct elements, so |rep| = |S| (cross-checked).
+    rho(g) is built for a generating set only, and ``rep`` is generated
+    from those maps.  The identity state goes to the state of s under
+    rho(s), so each r in ``rep`` is read as the element ``carrier[r(0)]``.
+    Every r is a product rho(g1)...rho(gk) = rho(g1...gk), so the reading
+    is rho's inverse; it is checked to be injective (the representation is
+    faithful, |rep| = |S|) and onto exactly the elements of S (it closes
+    onto S).
     """
     m = ts.adjoin_identity()
     one = m.identity()
     carrier = (one,) + tuple(t for t in m.elements if t != one)
     state_of = {a: i for i, a in enumerate(carrier)}
-    # rho(s) sends state a to state a*s, multiplied here on image tuples
+    # rho(g) sends state a to state a*g, multiplied here on image tuples
     state_of_images = {a.images: i for a, i in state_of.items()}
     times = [multiplier(a.images) for a in carrier]
-    rho_of = {
-        s: Transformation(tuple(state_of_images[times_a(s.images)] for times_a in times))
-        for s in m.elements
-    }
-    gens = tuple(rho_of[Transformation(g)] for g in ts.generating_images())
+    gens = tuple(
+        Transformation(tuple(state_of_images[times_a(g)] for times_a in times))
+        for g in ts.generating_images()
+    )
     rep = TransformationSemigroup.generate(len(carrier), gens, max_elements)
-    if set(rep.elements) != {rho_of[s] for s in ts.elements}:
+    rho_of = {carrier[r.images[0]]: r for r in rep.elements}
+    if rho_of.keys() != set(ts.elements):
         raise ConsistencyError("representation does not close onto the represented elements")
-    if len(rep.elements) != len(ts.elements):
+    if len(rho_of) != len(rep.elements):
         raise ConsistencyError("right regular representation is not faithful")
+    rho_of.setdefault(one, Transformation.identity(len(carrier)))
     return RegRep(ts, m, carrier, state_of, rep, rho_of)
 
 
@@ -99,22 +107,16 @@ def corollary_check(ts, max_elements=1_000_000):
     rr = right_regular(ts, max_elements)
     m = rr.monoid
     mt = rr.rep.adjoin_identity()
-    j_bridge = induce(rr.rho_of, green_preorder(m, "J"), green_preorder(mt, "J"))
-    rep_imbar_s = im_bar_S(mt)
-    j_map = tuple(
-        rep_imbar_s.class_map[j_bridge.class_map[ci]]
-        for ci in range(len(j_bridge.source))
-    )
-    j_is_iso = is_order_isomorphism(green_poset(m, "J").rows, skeleton_poset(mt).rows, j_map)
-    j_found = poset_isomorphic(green_poset(m, "J"), skeleton_poset(mt)) is not None
-
-    l_bridge = induce(rr.rho_of, green_preorder(m, "L"), green_preorder(mt, "L"))
-    rep_imbar = im_bar(mt)
-    l_map = tuple(
-        rep_imbar.class_map[l_bridge.class_map[ci]]
-        for ci in range(len(l_bridge.source))
-    )
-    l_is_iso = is_order_isomorphism(green_poset(m, "L").rows, inclusion_poset(mt).rows, l_map)
-    l_found = poset_isomorphic(green_poset(m, "L"), inclusion_poset(mt)) is not None
-
+    verdicts = []
+    for kind, rep_bar, target in (("J", im_bar_S, skeleton_poset), ("L", im_bar, inclusion_poset)):
+        bridge = induce(rr.rho_of, green_preorder(m, kind), green_preorder(mt, kind))
+        rep_map = rep_bar(mt).class_map
+        class_map = tuple(rep_map[c] for c in bridge.class_map)
+        source, dest = green_poset(m, kind), target(mt)
+        verdicts += [
+            class_map,
+            is_order_isomorphism(source.rows, dest.rows, class_map),
+            poset_isomorphic(source, dest) is not None,
+        ]
+    j_map, j_is_iso, j_found, l_map, l_is_iso, l_found = verdicts
     return CorollaryReport(rr, j_map, l_map, j_is_iso, l_is_iso, j_found, l_found)

@@ -86,6 +86,19 @@ def image_set_origin(m):
     return origin
 
 
+def right_regular_table(elements, n):
+    """rho(s) for every s in S^1 by the full |S^1|^2 table of products.
+
+    ``elements`` are the image tuples of S.  The states are the elements of
+    S^1, identity first and the rest sorted, and rho(s) sends state a to
+    state a*s.  Returns the image tuple of rho(s) under s's image tuple.
+    """
+    one = tuple(range(n))
+    carrier = [one] + sorted(set(elements) - {one})
+    state = {a: i for i, a in enumerate(carrier)}
+    return {s: tuple(state[comp(a, s)] for a in carrier) for s in carrier}
+
+
 def image_of(s):
     return frozenset(s)
 

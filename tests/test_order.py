@@ -5,7 +5,6 @@ from greenskel import (
     MalformedPreorderError,
     NotAMorphismError,
     Preorder,
-    check_preorder_morphism,
     green_preorder,
     im_map,
     induce,
@@ -311,31 +310,28 @@ class TestQuotient:
 class TestMorphism:
     def test_identity_map_is_morphism(self):
         p = preorder_from_pairs("abc", [("a", "b"), ("b", "c")])
-        ok, witness = check_preorder_morphism({x: x for x in "abc"}, p, p)
-        assert ok and witness is None
+        out = induce({x: x for x in "abc"}, p, p)
+        assert out.class_map == (0, 1, 2)
 
     def test_first_violation_reported(self):
-        src = preorder_from_pairs("ab", [("a", "b")])
-        dst = preorder_from_pairs("xy", [("y", "x")])
-        ok, witness = check_preorder_morphism({"a": "x", "b": "y"}, src, dst)
-        assert not ok and witness == ("a", "b")
-
-    def test_partial_map_rejected(self):
-        p = preorder_from_pairs("ab", [("a", "b")])
-        with pytest.raises(ValueError):
-            check_preorder_morphism({"a": "a"}, p, p)
-
-    def test_callable_map_accepted(self):
-        p = preorder_from_pairs("abc", [("a", "b"), ("b", "c")])
-        ok, _ = check_preorder_morphism(lambda x: x, p, p)
-        assert ok
-
-    def test_induce_rejects_non_morphism(self):
         src = preorder_from_pairs("ab", [("a", "b")])
         dst = preorder_from_pairs("xy", [("y", "x")])
         with pytest.raises(NotAMorphismError) as info:
             induce({"a": "x", "b": "y"}, src, dst)
         assert info.value.witness == ("a", "b")
+
+    def test_partial_map_rejected(self):
+        p = preorder_from_pairs("ab", [("a", "b")])
+        with pytest.raises(ValueError, match="map not total"):
+            induce({"a": "a"}, p, p)
+
+    def test_malformed_preorder_reported_before_the_map(self):
+        # b <= a is missing from the target, so the map breaks a <= b; the
+        # target is not transitive either, and that is what is reported
+        src = Preorder("ab", [0b11, 0b11])
+        dst = Preorder("xyz", [0b011, 0b110, 0b100])
+        with pytest.raises(MalformedPreorderError, match="not transitive"):
+            induce({"a": "y", "b": "x"}, src, dst)
 
     def test_induce_collapses_chain(self):
         m = chain_collapse()
@@ -385,6 +381,7 @@ class TestOrderViolation:
     @example(([0b11, 0b10], [0b01, 0b10], [0, 1]))  # not monotone
     @example(([0b11, 0b10], [0b111, 0b110, 0b100], [0, 2]))  # monotone, not surjective
     @example(([0b11, 0b10], [0b1], [0, 0]))  # constant onto a one-item target
+    @example(([0b11, 0b11], [0b01, 0b10], [0, 1]))  # one class split over two targets
     @settings(max_examples=200)
     def test_first_witness_matches_pairwise_oracle(self, case):
         src_rows, dst_rows, f = case
@@ -393,9 +390,13 @@ class TestOrderViolation:
         src = Preorder([f"a{i}" for i in range(len(src_rows))], src_rows)
         dst = Preorder([f"b{t}" for t in range(len(dst_rows))], dst_rows)
         fmap = {f"a{i}": f"b{t}" for i, t in enumerate(f)}
-        ok, witness = check_preorder_morphism(fmap, src, dst)
-        assert ok == (want is None)
-        assert witness == (None if ok else (f"a{want[0]}", f"a{want[1]}"))
+        if want is None:
+            out = induce(fmap, src, dst)
+            assert all(out.apply(a) == out.target.class_of[b] for a, b in fmap.items())
+        else:
+            with pytest.raises(NotAMorphismError) as info:
+                induce(fmap, src, dst)
+            assert info.value.witness == (f"a{want[0]}", f"a{want[1]}")
 
     @given(relabelings())
     @example(([0b1], [0b1], [0]))  # one item on each side

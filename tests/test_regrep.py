@@ -1,4 +1,7 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from greenskel import (
     ResourceLimitError,
@@ -11,8 +14,64 @@ from greenskel import (
     skeleton_poset,
 )
 from greenskel.catalog import chain_collapse, collapse_motif, right_zero, trivial
+from greenskel.cli import build_semigroup, parse
 
 import naive
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+
+
+@st.composite
+def semigroups(draw, max_states=3, cap=30):
+    """A generated semigroup, with the identity among its generators or not."""
+    n = draw(st.integers(1, max_states))
+    gens = [
+        Transformation(tuple(draw(st.integers(0, n - 1)) for _ in range(n)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.booleans()):
+        gens.append(Transformation.identity(n))
+    try:
+        return TransformationSemigroup.generate(n, gens, cap)
+    except ResourceLimitError:
+        assume(False)
+
+
+def assert_matches_table(ts):
+    """Representation and every rho(s) of S^1 agree with the full product table."""
+    table = naive.right_regular_table([t.images for t in ts.elements], ts.n)
+    rr = right_regular(ts)
+    want = sorted(table[t.images] for t in ts.elements)
+    assert [r.images for r in rr.rep.elements] == want
+    assert len(rr.carrier) == len(table)
+    for s in rr.carrier:
+        assert rr.rho(s).images == table[s.images]
+
+
+def declared_generators_miss(ts):
+    """The same elements with only the first declared generator."""
+    return TransformationSemigroup(ts.n, ts.generators[:1], ts.elements)
+
+
+class TestRepresentationOracle:
+    def test_fixtures(self, fixtures):
+        for ts in fixtures.values():
+            assert_matches_table(ts)
+
+    def test_example_inputs(self):
+        paths = sorted(INPUTS.glob("*.tsg"))
+        assert paths
+        for path in paths:
+            assert_matches_table(build_semigroup(parse(path.read_text(encoding="utf-8"))))
+
+    def test_declared_generators_miss_elements(self, fixtures):
+        for ts in fixtures.values():
+            assert_matches_table(declared_generators_miss(ts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(semigroups(), st.booleans())
+    def test_generated(self, ts, miss):
+        assert_matches_table(declared_generators_miss(ts) if miss else ts)
 
 
 class TestRepresentation:

@@ -109,10 +109,7 @@ class Transformation:
         return all(self.images[v] == v for v in self.images)
 
     def image(self):
-        mask = 0
-        for v in self.images:
-            mask |= 1 << v
-        return StateSubset(self.n, mask)
+        return StateSubset.of(self.n, set(self.images))
 
     def __repr__(self):
         return "T[%s]" % " ".join(str(x) for x in self.one_based)
@@ -207,10 +204,14 @@ class TransformationSemigroup:
     ``elements`` is kept sorted lexicographically by image tuple; that order
     is the canonical element numbering used for all reports and diagrams.
 
-    The constructor removes duplicates, sorts and checks that every map acts
-    on n states.  ``generate`` and ``adjoin_identity`` skip that work: their
-    elements are products of checked generators (plus the identity), which
-    they build distinct, sorted and on n states.
+    The state is the set of the elements' image tuples, which ``len``,
+    ``in``, ``has_identity`` and ``adjoin_identity`` read.  The constructor
+    removes duplicates, sorts, checks that every map acts on n states and
+    keeps ``elements``.  ``generate`` keeps its closure's set, whose tuples
+    are products of checked generators, and builds ``elements`` and the
+    index on first use, as does its S^1.  Such a semigroup is known to be
+    closed (``_closed``), so ``skeleton.image_set`` takes its images as an
+    orbit instead of scanning the elements.
     """
 
     def __init__(self, n, generators, elements):
@@ -221,18 +222,37 @@ class TransformationSemigroup:
         for t in generators + elements:
             if t.n != n:
                 raise DomainMismatchError(f"element {t} does not act on {n} states")
-        self._setup(n, generators, elements)
+        self._setup(n, generators, {t.images for t in elements})
+        self.elements = elements
 
-    def _setup(self, n, generators, elements, gens=None):
-        """Index distinct, sorted elements on n states; ``gens`` as ``_gens``."""
+    def _setup(self, n, generators, images, gens=None, closed=False):
+        """State on n states: the image tuples, ``gens`` as ``_gens``, closure known."""
         self.n = n
         self.generators = generators
-        self.elements = elements
-        self._index = {t: i for i, t in enumerate(elements)}
-        self.has_identity = Transformation.identity(n) in self._index
+        self._images = images
+        self.has_identity = tuple(range(n)) in images
         self._one = None
         self._gens = gens
+        self._closed = closed
+        self._from = None
         self._memo = {}
+
+    @functools.cached_property
+    def elements(self):
+        """The elements in canonical order, built on first use.
+
+        The S^1 of a semigroup without identity inserts the identity into
+        that semigroup's elements, so the two share their element objects.
+        """
+        if self._from is None:
+            return tuple(map(Transformation._product, sorted(self._images)))
+        base, one = self._from
+        at = bisect.bisect(base.elements, one.images, key=lambda t: t.images)
+        return base.elements[:at] + (one,) + base.elements[at:]
+
+    @functools.cached_property
+    def _index(self):
+        return {t: i for i, t in enumerate(self.elements)}
 
     @classmethod
     def generate(cls, n, generators, max_elements=1_000_000):
@@ -240,7 +260,8 @@ class TransformationSemigroup:
 
         Breadth first: products are taken in order of discovery of the left
         factor, with generator index breaking ties, so the discovery order
-        (and everything downstream) is deterministic.
+        (and everything downstream) is deterministic.  Only the set of image
+        tuples is kept; ``elements`` is built from it when first read.
         """
         gens = tuple(dict.fromkeys(generators))
         if not gens:
@@ -272,17 +293,17 @@ class TransformationSemigroup:
                         fresh.append(w)
             frontier = fresh
         ts = cls.__new__(cls)
-        ts._setup(n, gens, tuple(map(Transformation._product, sorted(seen))), gen_images)
+        ts._setup(n, gens, seen, gen_images, closed=True)
         return ts
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._images)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, t):
-        return t in self._index
+        return t.images in self._images
 
     def index(self, t):
         """Canonical number of an element."""
@@ -292,12 +313,15 @@ class TransformationSemigroup:
         return Transformation.identity(self.n)
 
     def adjoin_identity(self):
-        """S^1: this semigroup if the identity is present, else identity adjoined."""
+        """S^1: this semigroup if the identity is present, else identity adjoined.
+
+        S^1's set is this one's plus the identity tuple.  Its elements, built
+        on first use, are this semigroup's with the identity inserted.
+        """
         if self.has_identity:
             return self
         if self._one is None:
             one = Transformation.identity(self.n)
-            at = bisect.bisect(self.elements, one.images, key=lambda t: t.images)
             gens = None
             if self._gens == tuple(g.images for g in self.generators):
                 gens = self._gens + (one.images,)
@@ -305,9 +329,11 @@ class TransformationSemigroup:
             S1._setup(
                 self.n,
                 tuple(dict.fromkeys(self.generators + (one,))),
-                self.elements[:at] + (one,) + self.elements[at:],
+                self._images | {one.images},
                 gens,
+                self._closed,
             )
+            S1._from = (self, one)
             S1._one = S1
             self._one = S1
         return self._one
@@ -330,7 +356,7 @@ class TransformationSemigroup:
         """
         if self._gens is not None:
             return list(self._gens)
-        members = {t.images for t in self.elements}
+        members = self._images
         gens = [g.images for g in self.generators if g.images in members]
         reached = set(gens)
         frontier = list(gens)
@@ -355,7 +381,7 @@ class TransformationSemigroup:
     def __repr__(self):
         return (
             f"TransformationSemigroup(n={self.n}, generators={len(self.generators)}, "
-            f"elements={len(self.elements)})"
+            f"elements={len(self)})"
         )
 
 

@@ -2,9 +2,19 @@ import random
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
-from greenskel import Transformation, TransformationSemigroup
+from greenskel import StateSubset, Transformation, TransformationSemigroup, image_set
 from greenskel import catalog
+
+import naive
+
+# one to three generators on one to four states
+generator_lists = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(0, n - 1)] * n).map(Transformation), min_size=1, max_size=3
+    )
+)
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +46,21 @@ def sample_semigroups(seed, count, max_states=4, max_gens=3, monoid_cap=60):
         if len(ts.adjoin_identity()) <= monoid_cap:
             out.append(ts)
     return out
+
+
+def assert_image_set_matches_scan(m):
+    """Subsets, witnesses and dict order of ``image_set(m)`` are the element scan's.
+
+    The subsets are read before anything else, so on a generated ``m`` they
+    come from the orbit alone, with no element built.
+    """
+    iset = image_set(m)
+    subsets = iset.subsets
+    origin = naive.image_set_origin(m)
+    assert subsets == tuple(sorted(origin, key=StateSubset.sort_key))
+    assert all(P in iset for P in origin)
+    assert [iset.witness(P) for P in subsets] == [origin[P] for P in subsets]
+    assert list(iset.origin.items()) == list(origin.items())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

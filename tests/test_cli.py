@@ -190,6 +190,25 @@ class TestRun:
         assert "admissible partitions: 3" in text
         assert "partition 13/2: target 2 state(s) 2 element(s), ok" in text
 
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("monoid", [True, False])
+    @pytest.mark.parametrize(
+        "text",
+        ["states: 6\ngen: 2 3 4 5 6 1\ngen: 2 1 3 4 5 6\ngen: 1 1 3 4 5 6\n", read(CHAIN)],
+        ids=["full_t6", "chain_collapse"],
+    )
+    def test_skeleton_task_builds_no_element(self, text, monoid, extended):
+        # the closure's set, the orbit of X and the subduction closure are
+        # all the skeleton needs: neither S nor S^1 builds its elements
+        doc = parse(text)
+        bundle = run(InputDocument(doc.n, doc.generators, monoid, extended), ("skeleton",))
+        emit_dot(bundle, "skeleton")
+        report_text(bundle)
+        report_data(bundle)
+        assert (bundle.semigroup is bundle.monoid) == bundle.semigroup.has_identity
+        for ts in (bundle.semigroup, bundle.monoid):
+            assert "elements" not in vars(ts) and "_index" not in vars(ts)
+
 
 class TestDot:
     def test_trivial_collapse_exact(self):

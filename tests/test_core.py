@@ -1,5 +1,8 @@
+import itertools
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from greenskel import (
     DomainMismatchError,
@@ -22,8 +25,12 @@ from greenskel import (
     subduction_preorder,
 )
 from greenskel.catalog import chain_collapse, full_tmonoid, nonlattice, trivial
+from greenskel.cli import parse
 
 import naive
+from conftest import generator_lists
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 
 def transformations(max_n=5):
@@ -41,13 +48,6 @@ def same_n_pairs(max_n=5):
     )
 
 
-generator_lists = st.integers(1, 4).flatmap(
-    lambda n: st.lists(
-        st.tuples(*[st.integers(0, n - 1)] * n).map(Transformation), min_size=1, max_size=3
-    )
-)
-
-
 def assert_same_semigroup(fast, slow):
     """``fast`` has ``slow``'s elements, numbering, generators and identity flag."""
     assert fast.elements == slow.elements
@@ -59,20 +59,41 @@ def assert_same_semigroup(fast, slow):
         assert hash(t) == hash((t.images,))
 
 
+def assert_lazy_matches(fast, slow, probes):
+    """``fast`` answers as ``slow`` does; only ``elements`` and ``index`` build."""
+    assert len(fast) == len(slow)
+    assert fast.has_identity == slow.has_identity
+    assert [t in fast for t in probes] == [t in slow for t in probes]
+    assert fast.generating_images() == slow.generating_images()
+    assert_same_semigroup(fast, slow)
+
+
 def assert_matches_constructor(n, gens):
-    """``generate`` and ``adjoin_identity`` against the validating constructor."""
-    ts = TransformationSemigroup.generate(n, gens, max_elements=300)
+    """``generate`` and ``adjoin_identity`` against the validating constructor.
+
+    S and S^1 are compared with S's elements read before S^1 is made, and
+    with S^1 made first: ``len``, ``has_identity``, ``in``,
+    ``generating_images()`` and ``adjoin_identity()`` must not build them.
+    """
     elements = [Transformation(w) for w in naive.close([g.images for g in gens])]
     built = TransformationSemigroup(n, gens, elements)
-    assert_same_semigroup(ts, built)
     one = Transformation.identity(n)
-    for s in (ts, built):
-        s1 = s.adjoin_identity()
-        if s.has_identity:
-            assert s1 is s
-        else:
-            expect = TransformationSemigroup(n, s.generators + (one,), s.elements + (one,))
-            assert_same_semigroup(s1, expect)
+    built1 = built
+    if not built.has_identity:
+        built1 = TransformationSemigroup(n, built.generators + (one,), built.elements + (one,))
+    assert_same_semigroup(built.adjoin_identity(), built1)
+    probes = [Transformation(t) for t in itertools.product(range(n), repeat=n)]
+    for read_first in (True, False):
+        ts = TransformationSemigroup.generate(n, gens, max_elements=300)
+        if read_first:
+            assert_same_semigroup(ts, built)
+        m = ts.adjoin_identity()
+        assert (m is ts) == ts.has_identity
+        if not read_first:
+            for x in (ts, m):
+                assert "elements" not in vars(x) and "_index" not in vars(x)
+        for fast, slow in ((m, built1), (ts, built)):
+            assert_lazy_matches(fast, slow, probes)
 
 
 def assert_stored_generating_set_is_searched(ts):
@@ -147,6 +168,8 @@ class TestTransformation:
         assert t.is_idempotent() == (t * t == t)
 
     @given(transformations())
+    @example(Transformation((0,)))
+    @example(Transformation((2, 2, 0, 2)))
     def test_image_members(self, t):
         assert set(t.image().members) == set(t.images)
 
@@ -228,6 +251,12 @@ class TestGenerate:
             assert_matches_constructor(ts.n, list(ts.generators))
         for gens in ([(0,)], [(0, 0)], [(1, 0)], [(0, 0), (1, 1)]):
             assert_matches_constructor(len(gens[0]), [Transformation(g) for g in gens])
+        paths = sorted(INPUTS.glob("*.tsg"))
+        assert paths
+        for path in paths:
+            doc = parse(path.read_text())
+            gens = [Transformation.from_one_based(g) for g in doc.generators]
+            assert_matches_constructor(doc.n, gens)
 
     def test_canonical_numbering_is_lex_sorted(self):
         ts = nonlattice()

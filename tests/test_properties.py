@@ -22,6 +22,7 @@ from greenskel import (
 )
 
 import naive
+from conftest import assert_image_set_matches_scan
 from naive import subduction_leq
 
 
@@ -51,9 +52,12 @@ def test_closure_matches_naive(ts):
 @settings(max_examples=60, deadline=None)
 @given(semigroups())
 def test_image_set_matches_naive_scan(ts):
+    # the orbit builds no element; the constructor's copy is scanned
     m = ts.adjoin_identity()
-    origin = naive.image_set_origin(m)
-    assert list(image_set(m).origin.items()) == list(origin.items())
+    image_set(m)
+    assert "elements" not in vars(m) and "elements" not in vars(ts)
+    assert_image_set_matches_scan(m)
+    assert_image_set_matches_scan(TransformationSemigroup(m.n, m.generators, m.elements))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,7 +1,7 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, settings
 
 from greenskel import (
     DomainMismatchError,
@@ -28,6 +28,7 @@ from greenskel.catalog import (
 )
 from greenskel.cli import build_semigroup, parse
 import naive
+from conftest import assert_image_set_matches_scan, generator_lists
 from naive import SubductionWitness, subduction_leq
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
@@ -60,13 +61,18 @@ class TestImageSet:
             assert iset.witness(StateSubset.full(m.n)).is_identity()
 
     def test_origin_matches_naive_scan(self, fixtures):
-        # same subsets, witnesses and dict order as scanning t.image()
+        # the orbit of a fresh generated semigroup and the scan of the same
+        # elements given to the constructor both match scanning t.image()
         inputs = [build_semigroup(parse(p.read_text())) for p in sorted(INPUTS.glob("*.tsg"))]
         assert inputs
         for ts in list(fixtures.values()) + inputs:
             m = ts.adjoin_identity()
-            origin = naive.image_set_origin(m)
-            assert list(image_set(m).origin.items()) == list(origin.items())
+            assert_image_set_matches_scan(m)
+            fresh = TransformationSemigroup.generate(m.n, m.generators)
+            image_set(fresh)
+            assert "elements" not in vars(fresh)
+            assert_image_set_matches_scan(fresh)
+            assert_image_set_matches_scan(TransformationSemigroup(m.n, m.generators, m.elements))
 
     def test_matches_naive_images(self, fixtures):
         for ts in fixtures.values():
@@ -258,16 +264,18 @@ class TestSubductionPreorder:
             with pytest.raises(KeyError):
                 subduction_preorder(TransformationSemigroup(4, [a], [a]), extended)
 
+    def test_non_closed_element_set_inside_its_orbit(self):
+        # b*b = [2 2 3 4] is missing, but its image {2,3,4} is b's, so the
+        # orbit stays in the carrier; the element scan gives the relation
+        a = Transformation.from_one_based([1, 1, 3, 4])
+        b = Transformation.from_one_based([2, 2, 4, 3])
+        ts = TransformationSemigroup(4, [a], [a, b])
+        assert not naive.is_closed(ts)
+        assert_relations_match_oracle(ts)
+        assert [len(cls) for cls in skeleton_poset(ts).classes] == [1, 2]
 
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.lists(
-            st.tuples(*[st.integers(0, n - 1)] * n).map(Transformation),
-            min_size=1,
-            max_size=3,
-        )
-    )
-)
+
+@given(generator_lists)
 @settings(max_examples=40, deadline=None)
 def test_random_semigroup_subduction_laws(gens):
     n = gens[0].n

@@ -2,6 +2,7 @@
 
 from .core import (
     DomainMismatchError,
+    NotClosedError,
     ResourceLimitError,
     StateSubset,
     Transformation,
@@ -54,6 +55,7 @@ __all__ = [
     "InducedMap",
     "MalformedPreorderError",
     "NotAMorphismError",
+    "NotClosedError",
     "Preorder",
     "RegRep",
     "ResourceLimitError",

@@ -9,9 +9,9 @@ Input grammar (UTF-8, LF or CRLF, `#` starts a comment):
     extended: false   # optional: also adjoin missing singleton subsets
 
 Subcommands: analyze, dot, verify, regrep, functorial.  Exit codes:
-0 all verifications passed, 1 verification counterexample or internal
-verification failure (a broken invariant, reported without a traceback),
-2 input error, 3 resource cap exceeded or memory exhausted.
+0 all verifications passed, 1 a verification found a counterexample,
+2 input error, 3 resource cap exceeded or memory exhausted, 4 internal
+verification failure (a broken invariant, reported without a traceback).
 """
 
 from __future__ import annotations
@@ -556,7 +556,7 @@ def main(argv=None):
         return 3
     except (ConsistencyError, MalformedPreorderError, NotAMorphismError, AssertionError) as err:
         print(f"internal verification failure: {err}", file=sys.stderr)
-        return 1
+        return 4
 
 
 def _dispatch(args, doc):

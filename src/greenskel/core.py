@@ -18,6 +18,14 @@ class DomainMismatchError(ValueError):
     """Operands act on different state counts."""
 
 
+class NotClosedError(ValueError):
+    """An element set is not closed: ``pair`` is (s, g) with s*g outside it."""
+
+    def __init__(self, s, g):
+        super().__init__(f"element set is not closed: {s} * {g} = {s * g} is missing")
+        self.pair = (s, g)
+
+
 class ResourceLimitError(RuntimeError):
     """A configured size cap was exceeded; ``stage`` names the computation."""
 
@@ -206,12 +214,14 @@ class TransformationSemigroup:
 
     The state is the set of the elements' image tuples, which ``len``,
     ``in``, ``has_identity`` and ``adjoin_identity`` read.  The constructor
-    removes duplicates, sorts, checks that every map acts on n states and
-    keeps ``elements``.  ``generate`` keeps its closure's set, whose tuples
-    are products of checked generators, and builds ``elements`` and the
-    index on first use, as does its S^1.  Such a semigroup is known to be
-    closed (``_closed``), so ``skeleton.image_set`` takes its images as an
-    orbit instead of scanning the elements.
+    removes duplicates, sorts, checks that every map acts on n states,
+    keeps ``elements`` and decides closure: every element is a product of
+    ``generating_images()``, so the set is closed exactly when s*g lies in
+    it for every element s and every g of that list, and the first missing
+    product raises ``NotClosedError``.  ``generate`` keeps its closure's
+    set, whose tuples are products of checked generators, and builds
+    ``elements`` and the index on first use, as does its S^1.  Every
+    instance is therefore closed.
     """
 
     def __init__(self, n, generators, elements):
@@ -224,16 +234,21 @@ class TransformationSemigroup:
                 raise DomainMismatchError(f"element {t} does not act on {n} states")
         self._setup(n, generators, {t.images for t in elements})
         self.elements = elements
+        gens = self.generating_images()
+        for s in elements:
+            times_s = multiplier(s.images)
+            for g in gens:
+                if times_s(g) not in self._images:
+                    raise NotClosedError(s, Transformation._product(g))
 
-    def _setup(self, n, generators, images, gens=None, closed=False):
-        """State on n states: the image tuples, ``gens`` as ``_gens``, closure known."""
+    def _setup(self, n, generators, images, gens=None):
+        """State on n states: the image tuples, and ``gens`` as ``_gens``."""
         self.n = n
         self.generators = generators
         self._images = images
         self.has_identity = tuple(range(n)) in images
         self._one = None
         self._gens = gens
-        self._closed = closed
         self._from = None
         self._memo = {}
 
@@ -293,7 +308,7 @@ class TransformationSemigroup:
                         fresh.append(w)
             frontier = fresh
         ts = cls.__new__(cls)
-        ts._setup(n, gens, seen, gen_images, closed=True)
+        ts._setup(n, gens, seen, gen_images)
         return ts
 
     def __len__(self):
@@ -331,7 +346,6 @@ class TransformationSemigroup:
                 tuple(dict.fromkeys(self.generators + (one,))),
                 self._images | {one.images},
                 gens,
-                self._closed,
             )
             S1._from = (self, one)
             S1._one = S1

@@ -21,11 +21,7 @@ class ConsistencyError(RuntimeError):
 
 
 def _reversed_cayley_rows(m, which):
-    """Bit t of row s when t*g = s (R), g*t = s (L) or either (J), g in G.
-
-    A product outside the elements raises KeyError, as it must for some
-    s and g when the element set is not closed.
-    """
+    """Bit t of row s when t*g = s (R), g*t = s (L) or either (J), g in G."""
     index = {t.images: i for i, t in enumerate(m.elements)}
     gens = m.generating_images()
     times_gens = [multiplier(g) for g in gens]

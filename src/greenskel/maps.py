@@ -11,7 +11,7 @@ those laws beside the verdicts it computes itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import per_monoid
 from .green import green_preorder, green_poset
@@ -59,15 +59,13 @@ class DiagramReport:
     that arrow fibers are unions of source classes.  A failed law of
     ``im_bar`` or ``im_bar_S`` raises before a report exists, so the
     verdicts their ``induce`` decided read True, and so do those of the two
-    collapses out of S^1, which hold by construction of the quotients;
-    ``witnesses`` stays empty.
+    collapses out of S^1, which hold by construction of the quotients.
     """
 
     sizes: dict
     arrows: dict
     commutes: dict
     preimage_unions: dict
-    witnesses: dict = field(default_factory=dict)
 
     @property
     def passed(self):

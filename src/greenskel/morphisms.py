@@ -76,18 +76,17 @@ class TsMorphism:
 def _homomorphism_violation(m):
     """The first (s, t) in canonical order with phi(st) != phi(s)phi(t), or None.
 
-    The verdict is decided on a generating set G: if s*g lies in S and
-    phi(s*g) = phi(s)phi(g) for every s in S and g in G, then for
-    t = g1...gk induction on k gives phi(st) = phi(s)phi(t).  Only when a
-    generator pair fails or a product leaves S does the pairwise scan run,
-    to find the first witness (or raise the KeyError of a product that
-    elem_map does not cover).
+    The verdict is decided on a generating set G: if phi(s*g) =
+    phi(s)phi(g) for every s in S and g in G, then for t = g1...gk
+    induction on k gives phi(st) = phi(s)phi(t).  S is closed and elem_map
+    total on it, so every product has an image.  Only when a generator pair
+    fails does the pairwise scan run, to find the first witness.
     """
     phi = {s.images: m.elem_map[s].images for s in m.source.elements}
     gens = [(g, phi[g]) for g in m.source.generating_images()]
     for s, fs in phi.items():
         times_s, times_fs = multiplier(s), multiplier(fs)
-        if any(phi.get(times_s(g)) != times_fs(fg) for g, fg in gens):
+        if any(phi[times_s(g)] != times_fs(fg) for g, fg in gens):
             break
     else:
         return None

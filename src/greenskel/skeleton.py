@@ -4,16 +4,15 @@ P is subduction-below Q when P fits inside some image of Q under the
 action, i.e. P <= Q^s for some s in S^1.  Collapsing mutual subduction
 gives the skeleton: the partial order of subduction classes.
 
-The image of s is X^s, so when S is known to be closed I(X) is the orbit of
-the full state set X under a generating set of S^1 (the orbit method of
-Linton, Pfeiffer, Robertson and Ruskuc, 2002): no element is built.  A
-semigroup given by its elements scans them instead.  I(X) is closed under
-the action, so Q's images {Q^s : s in S^1} are the members reachable from
-Q in the orbit graph Q -> Q^g, g in a generating set.  Inclusion commutes
-with the action (P <= R gives P^s <= R^s), so subduction is the
-reflexive-transitive closure of the orbit edges and the inclusions
-together: |I(X)|*|G| subset images, not |I(X)|^2*|S^1|.  The extended
-carrier is closed too, since singletons map to singletons.
+The image of s is X^s, and every semigroup is closed, so I(X) is the orbit
+of the full state set X under a generating set of S^1 (the orbit method of
+Linton, Pfeiffer, Robertson and Ruskuc, 2002): no element is built.  I(X)
+is closed under the action, so Q's images {Q^s : s in S^1} are the members
+reachable from Q in the orbit graph Q -> Q^g, g in a generating set.
+Inclusion commutes with the action (P <= R gives P^s <= R^s), so
+subduction is the reflexive-transitive closure of the orbit edges and the
+inclusions together: |I(X)|*|G| subset images, not |I(X)|^2*|S^1|.  The
+extended carrier is closed too, since singletons map to singletons.
 """
 
 from __future__ import annotations
@@ -29,11 +28,12 @@ from .order import Preorder, transitive_closure_rows
 class ImageSet:
     """The distinct images of the elements of S^1, plus optional singletons.
 
-    ``origin`` holds one witness element per image, the first in canonical
-    order (the identity for the full state set); it scans the elements of
-    ``monoid`` when first read.  Singletons adjoined in extended mode never
-    arise as images and therefore carry no witness; they are listed in
-    ``adjoined``.
+    ``subsets`` is the orbit of the full state set, sorted.  ``origin``
+    holds one witness element per image, the first in canonical order (the
+    identity for the full state set); it scans the elements of ``monoid``
+    when first read, the only step that builds them.  Singletons adjoined
+    in extended mode never arise as images and therefore carry no witness;
+    they are listed in ``adjoined``.
     """
 
     n: int
@@ -52,49 +52,41 @@ class ImageSet:
 
     @functools.cached_property
     def origin(self):
-        return _first_witnesses(self.monoid)
+        m = self.monoid
+        first = {}
+        for t in m.elements:
+            first.setdefault(frozenset(t.images), t)
+        origin = {StateSubset.full(m.n): m.identity()}
+        for image, t in first.items():
+            origin.setdefault(StateSubset.of(m.n, image), t)
+        return origin
 
     def witness(self, P):
         """An element whose image is P, or None for an adjoined singleton."""
         return self.origin.get(P)
 
 
-def _first_witnesses(m):
-    """Each image of an element of S^1 with its first element; the full set first."""
-    first = {}
-    for t in m.elements:
-        first.setdefault(frozenset(t.images), t)
-    origin = {StateSubset.full(m.n): m.identity()}
-    for image, t in first.items():
-        origin.setdefault(StateSubset.of(m.n, image), t)
-    return origin
-
-
 @per_monoid
 def image_set(m):
     """I(X): every subset of the state set arising as an element's image.
 
-    A closed semigroup gives the orbit of the full set under its generating
-    images, any other the images its elements scan to; either way sorted by
+    The orbit of the full set under the generating images, sorted by
     ``StateSubset.sort_key``, with the witnesses found on first use.
     """
-    if m._closed:
-        gens = m.generating_images()
-        seen = {(1 << m.n) - 1}
-        frontier = list(seen)
-        while frontier:
-            fresh = []
-            for q in frontier:
-                for g in gens:
-                    p = apply_mask(q, g)
-                    if p not in seen:
-                        seen.add(p)
-                        fresh.append(p)
-            frontier = fresh
-        subsets = [StateSubset(m.n, p) for p in seen]
-    else:
-        subsets = _first_witnesses(m)
-    return ImageSet(m.n, tuple(sorted(subsets, key=StateSubset.sort_key)), m)
+    gens = m.generating_images()
+    seen = {(1 << m.n) - 1}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for q in frontier:
+            for g in gens:
+                p = apply_mask(q, g)
+                if p not in seen:
+                    seen.add(p)
+                    fresh.append(p)
+        frontier = fresh
+    subsets = sorted((StateSubset(m.n, p) for p in seen), key=StateSubset.sort_key)
+    return ImageSet(m.n, tuple(subsets), m)
 
 
 @per_monoid
@@ -114,8 +106,7 @@ def subduction_preorder(m, extended=False):
 
     The inclusion edges P -> R (P <= R) and the reversed orbit edges
     Q^g -> Q (g in the generating set) are closed once: P reaches Q exactly
-    when P lies in a member of Q's orbit.  An orbit step that leaves the
-    carrier, which a closed element set never takes, raises KeyError.
+    when P lies in a member of Q's orbit.
     """
     incl = inclusion_preorder(m, extended)
     index = {P.mask: i for i, P in enumerate(incl.items)}

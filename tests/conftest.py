@@ -4,7 +4,15 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from greenskel import StateSubset, Transformation, TransformationSemigroup, image_set
+from greenskel import (
+    StateSubset,
+    Transformation,
+    TransformationSemigroup,
+    extended_image_set,
+    image_set,
+    inclusion_preorder,
+    subduction_preorder,
+)
 from greenskel import catalog
 
 import naive
@@ -61,6 +69,22 @@ def assert_image_set_matches_scan(m):
     assert all(P in iset for P in origin)
     assert [iset.witness(P) for P in subsets] == [origin[P] for P in subsets]
     assert list(iset.origin.items()) == list(origin.items())
+
+
+def assert_relations_match_oracle(ts):
+    """Subduction and inclusion rows equal the naive relations, both carriers."""
+    m = ts.adjoin_identity()
+    monoid = [t.images for t in m]
+    for extended in (False, True):
+        iset = extended_image_set(m) if extended else image_set(m)
+        sets = [frozenset(p.members) for p in iset.subsets]
+        subd = subduction_preorder(m, extended)
+        incl = inclusion_preorder(m, extended)
+        assert subd.items == incl.items == iset.subsets
+        assert subd.rows == naive.leq_rows(
+            sets, lambda a, b: naive.subduction(a, b, monoid)
+        ), (ts, extended)
+        assert incl.rows == naive.leq_rows(sets, lambda a, b: a <= b), (ts, extended)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -115,10 +115,14 @@ def subduction(P, Q, monoid):
     return any(P <= act(Q, s) for s in monoid)
 
 
-def is_closed(ts):
-    """Does every product of two elements of ``ts`` lie in ``ts``?  All pairs."""
-    els = set(ts.elements)
-    return all(s * t in els for s in ts.elements for t in ts.elements)
+def is_closed(elements):
+    """Does every product of two of ``elements`` lie among them?  All pairs.
+
+    ``elements`` is any iterable of maps, a semigroup or a plain list, so
+    a set the constructor refuses can be judged too.
+    """
+    els = set(elements)
+    return all(s * t in els for s in els for t in els)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from greenskel import MalformedPreorderError, NotAMorphismError, ResourceLimitError
+from greenskel import (
+    ConsistencyError,
+    MalformedPreorderError,
+    NotAMorphismError,
+    ResourceLimitError,
+)
 from greenskel.cli import (
     InputDocument,
     InputError,
@@ -360,21 +365,27 @@ class TestMain:
         [
             pytest.param(
                 MalformedPreorderError("relation not reflexive at 'a'"),
-                1,
+                4,
                 "internal verification failure: relation not reflexive at 'a'",
                 id="malformed-preorder",
             ),
             pytest.param(
                 NotAMorphismError(("a", "b")),
-                1,
+                4,
                 "internal verification failure: 'a' <= 'b' in the source but the images are unrelated",
                 id="not-a-morphism",
             ),
             pytest.param(
                 AssertionError("induced class map is not order-preserving"),
-                1,
+                4,
                 "internal verification failure: induced class map is not order-preserving",
                 id="assertion",
+            ),
+            pytest.param(
+                ConsistencyError("D and J partitions differ"),
+                4,
+                "internal verification failure: D and J partitions differ",
+                id="consistency",
             ),
             pytest.param(MemoryError(), 3, "resource cap in stage memory: out of memory", id="memory"),
         ],

@@ -2,10 +2,11 @@ import itertools
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from greenskel import (
     DomainMismatchError,
+    NotClosedError,
     ResourceLimitError,
     StateSubset,
     Transformation,
@@ -28,7 +29,7 @@ from greenskel.catalog import chain_collapse, full_tmonoid, nonlattice, trivial
 from greenskel.cli import parse
 
 import naive
-from conftest import generator_lists
+from conftest import assert_relations_match_oracle, generator_lists
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -346,11 +347,64 @@ class TestSemigroup:
         assert len(ts) == 1 and ts.has_identity
 
     def test_is_closed_detects_gap(self):
+        # [1 1 3] is no product of the declared [2 2 2], so it joins G; the
+        # one missing product, [2 2 2]*[1 1 3] = [1 1 1], has it on the right,
+        # so a check over the declared generators alone would pass the set
         t = Transformation.from_one_based([2, 2, 2])
-        u = Transformation.from_one_based([3, 3, 3])
-        open_set = TransformationSemigroup(3, [t], [t, Transformation.from_one_based([2, 3, 1])])
-        assert not naive.is_closed(open_set)
-        assert naive.is_closed(TransformationSemigroup(3, [t, u], [t, u]))
+        u = Transformation.from_one_based([1, 1, 3])
+        assert [s * g in (t, u) for s in (t, u) for g in (t, u)] == [True, False, True, True]
+        assert not naive.is_closed([t, u])
+        with pytest.raises(NotClosedError) as err:
+            TransformationSemigroup(3, [t], [t, u])
+        assert err.value.pair == (t, u)
+        assert isinstance(err.value, ValueError)
+        assert str(err.value) == "element set is not closed: T[2 2 2] * T[1 1 3] = T[1 1 1] is missing"
+        closed = [t, u, Transformation.from_one_based([1, 1, 1])]
+        assert naive.is_closed(closed)
+        assert naive.is_closed(TransformationSemigroup(3, [t], closed))
+
+
+class TestClosureDecided:
+    """The validating constructor refuses exactly the element sets that are not closed."""
+
+    def test_one_element_sets_on_four_states(self):
+        refused = 0
+        for images in itertools.product(range(4), repeat=4):
+            a = Transformation(images)
+            if naive.is_closed([a]):
+                ts = TransformationSemigroup(4, [a], [a])
+                assert_relations_match_oracle(ts)
+                continue
+            with pytest.raises(NotClosedError) as err:
+                TransformationSemigroup(4, [a], [a])
+            # G is [a], so a*a is the only product and the first missing
+            assert err.value.pair == (a, a)
+            refused += 1
+        assert refused == 215
+
+    @given(generator_lists, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sub_selections_raise_exactly_when_not_closed(self, gens, data):
+        n = gens[0].n
+        try:
+            ts = TransformationSemigroup.generate(n, gens, max_elements=60)
+        except ResourceLimitError:
+            assume(False)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(ts), max_size=len(ts)))
+        chosen = [t for t, k in zip(ts.elements, keep) if k]
+        assume(chosen)
+        declared = data.draw(st.lists(st.sampled_from(ts.elements), max_size=3))
+        if naive.is_closed(chosen):
+            built = TransformationSemigroup(n, declared, chosen)
+            assert built.elements == tuple(chosen)
+            assert naive.close(built.generating_images()) == {t.images for t in chosen}
+            return
+        with pytest.raises(NotClosedError) as err:
+            TransformationSemigroup(n, declared, chosen)
+        s, g = err.value.pair
+        assert s in chosen and g in chosen and s * g not in chosen
+        # every earlier element was checked against g and passed
+        assert all(r * g in chosen for r in chosen[: chosen.index(s)])
 
 
 def without_identity():

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 
 from greenskel import (
     DomainMismatchError,
+    NotClosedError,
     ResourceLimitError,
     StateSubset,
     Transformation,
@@ -28,7 +29,11 @@ from greenskel.catalog import (
 )
 from greenskel.cli import build_semigroup, parse
 import naive
-from conftest import assert_image_set_matches_scan, generator_lists
+from conftest import (
+    assert_image_set_matches_scan,
+    assert_relations_match_oracle,
+    generator_lists,
+)
 from naive import SubductionWitness, subduction_leq
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
@@ -231,22 +236,6 @@ class TestSkeleton:
             assert len(iq) == len(image_set(ts))
 
 
-def assert_relations_match_oracle(ts):
-    """Subduction and inclusion rows equal the naive relations, both carriers."""
-    m = ts.adjoin_identity()
-    monoid = [t.images for t in m]
-    for extended in (False, True):
-        iset = extended_image_set(m) if extended else image_set(m)
-        sets = [frozenset(p.members) for p in iset.subsets]
-        subd = subduction_preorder(m, extended)
-        incl = inclusion_preorder(m, extended)
-        assert subd.items == incl.items == iset.subsets
-        assert subd.rows == naive.leq_rows(
-            sets, lambda a, b: naive.subduction(a, b, monoid)
-        ), (ts, extended)
-        assert incl.rows == naive.leq_rows(sets, lambda a, b: a <= b), (ts, extended)
-
-
 class TestSubductionPreorder:
     def test_fixtures_match_oracle(self):
         # rebuilt with its first generator alone, most fixtures declare too
@@ -258,19 +247,26 @@ class TestSubductionPreorder:
             )
 
     def test_non_closed_element_set_raises(self):
-        # a = [2 3 4 4]: a*a = [3 4 4 4] is missing, and so is its image {3,4}
+        # a = [2 3 4 4]: a*a = [3 4 4 4] is missing, and so is its image
+        # {3,4}; the set is refused before any relation is asked of it
         a = Transformation.from_one_based([2, 3, 4, 4])
-        for extended in (False, True):
-            with pytest.raises(KeyError):
-                subduction_preorder(TransformationSemigroup(4, [a], [a]), extended)
+        with pytest.raises(NotClosedError) as err:
+            TransformationSemigroup(4, [a], [a])
+        assert err.value.pair == (a, a)
 
     def test_non_closed_element_set_inside_its_orbit(self):
-        # b*b = [2 2 3 4] is missing, but its image {2,3,4} is b's, so the
-        # orbit stays in the carrier; the element scan gives the relation
+        # b*a = [1 1 4 3] and b*b = [2 2 3 4] are missing, but their images
+        # are a's and b's, so the orbit of X stays in the carrier and cannot
+        # tell; the constructor refuses the set, and its closure, which has
+        # the same image sets, matches the oracle
         a = Transformation.from_one_based([1, 1, 3, 4])
         b = Transformation.from_one_based([2, 2, 4, 3])
-        ts = TransformationSemigroup(4, [a], [a, b])
-        assert not naive.is_closed(ts)
+        assert not naive.is_closed([a, b])
+        with pytest.raises(NotClosedError) as err:
+            TransformationSemigroup(4, [a], [a, b])
+        assert err.value.pair == (b, a)
+        ts = TransformationSemigroup.generate(4, [a, b])
+        assert len(ts) == 4
         assert_relations_match_oracle(ts)
         assert [len(cls) for cls in skeleton_poset(ts).classes] == [1, 2]
 

@@ -26,6 +26,7 @@ from .green import ConsistencyError, d_classes, eggboxes, green_poset
 from .maps import im_bar_S, verify_diagram
 from .morphisms import admissible_partitions, functoriality_check, quotient_ts, validate
 from .order import MalformedPreorderError, NotAMorphismError, lattice_violation
+from .regrep import corollary_check
 from .skeleton import (
     extended_image_set,
     image_set,
@@ -205,9 +206,7 @@ def run(doc, tasks, max_elements=1_000_000):
     if "diagram" in tasks:
         bundle.diagram = verify_diagram(m)
     if "regrep" in tasks:
-        from .regrep import corollary_check
-
-        bundle.corollary = corollary_check(ts, max_elements)
+        bundle.corollary = corollary_check(ts)
     if "functorial" in tasks:
         bundle.functorial = []
         for partition in admissible_partitions(ts):
@@ -268,16 +267,12 @@ def report_text(bundle):
         lines.append("diagram:")
         lines.extend("  " + ln for ln in bundle.diagram.to_text().splitlines())
     if bundle.corollary is not None:
-        rep = bundle.corollary.regrep.rep
-        lines.append(f"regular representation: {rep.n} states, {len(rep)} elements")
-        lines.append(
-            "J-order vs skeleton isomorphism: "
-            + ("ok" if bundle.corollary.j_is_iso and bundle.corollary.j_found else "FAIL")
-        )
-        lines.append(
-            "L-order vs inclusion isomorphism: "
-            + ("ok" if bundle.corollary.l_is_iso and bundle.corollary.l_found else "FAIL")
-        )
+        c = bundle.corollary
+        lines += [
+            f"regular representation: {len(c.regrep.carrier)} states, {len(c.regrep.base)} elements",
+            "J-order vs skeleton isomorphism: " + ("ok" if c.j_is_iso and c.j_found else "FAIL"),
+            "L-order vs inclusion isomorphism: " + ("ok" if c.l_is_iso and c.l_found else "FAIL"),
+        ]
     if bundle.functorial is not None:
         lines.append(f"admissible partitions: {len(bundle.functorial)}")
         for entry in bundle.functorial:
@@ -350,8 +345,8 @@ def report_data(bundle):
     if bundle.corollary is not None:
         c = bundle.corollary
         data["regrep"] = {
-            "states": c.regrep.rep.n,
-            "elements": len(c.regrep.rep),
+            "states": len(c.regrep.carrier),
+            "elements": len(c.regrep.base),
             "j_map": list(c.j_map),
             "l_map": list(c.l_map),
             "j_is_iso": c.j_is_iso,

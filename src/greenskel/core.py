@@ -355,40 +355,35 @@ class TransformationSemigroup:
     def generating_images(self):
         """Image tuples of a generating set, declared generators first.
 
-        The declared generators that lie in the semigroup start the set.  A
-        breadth-first search of right products by the set found so far
-        grows from it; an element the search never reaches joins the set,
-        in canonical order, and the search goes on from it.  So every
-        element is a product of the returned tuples, even when the declared
-        generators do not generate ``elements``.
-
-        The set is found once per semigroup and stored.  ``generate`` stores
-        its own generators, which its closure has just shown to generate S.
-        When S's set is exactly its declared generators, ``adjoin_identity``
-        stores them plus the identity for S^1.  Either way the stored list
-        is exactly the one the search would return.
+        The declared generators in the semigroup join first, then each
+        element not yet a product of the set, by decreasing rank (a product
+        never outranks its factors), then in canonical order.  When h joins,
+        every element reached so far is multiplied by h once, and a
+        breadth-first search of right products by the whole set goes on from
+        there.  The set is found once and stored; ``generate`` and
+        ``adjoin_identity`` store their own generators (plus the identity
+        for S^1), which is exactly the list the search would return.
         """
         if self._gens is not None:
             return list(self._gens)
         members = self._images
-        gens = [g.images for g in self.generators if g.images in members]
-        reached = set(gens)
-        frontier = list(gens)
-        for s in self.elements:
+        gens = []
+        reached = set()
+
+        def join(h):
+            gens.append(h)
+            frontier = [h] + [multiplier(u)(h) for u in reached]
             while frontier:
-                fresh = []
-                for u in frontier:
-                    times_u = multiplier(u)
-                    for g in gens:
-                        w = times_u(g)
-                        if w in members and w not in reached:
-                            reached.add(w)
-                            fresh.append(w)
-                frontier = fresh
-            if s.images not in reached:
-                gens.append(s.images)
-                reached.add(s.images)
-                frontier = [s.images]
+                fresh = [w for w in dict.fromkeys(frontier) if w in members and w not in reached]
+                reached.update(fresh)
+                frontier = [w for u in fresh for w in map(multiplier(u), gens)]
+
+        for g in self.generators:
+            if g.images in members:
+                join(g.images)
+        for h in sorted(members - reached, key=lambda u: (-len(set(u)), u)):
+            if h not in reached:
+                join(h)
         self._gens = tuple(gens)
         return gens
 

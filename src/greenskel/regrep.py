@@ -1,85 +1,87 @@
 """Right regular representation: S acting on S^1 by right multiplication.
 
-State a*s is where state a goes under the map representing s.  Images of
-representing maps are principal left ideals, which is what turns the
-J-class order into the subduction order and the L-class order into plain
-inclusion; both isomorphisms are verified here.
+State a*s is where state a goes under rho(s), so the image of rho(s) is
+the principal left ideal S^1*s.  That turns the J-class order into the
+subduction order and the L-class order into inclusion.  Both isomorphisms
+are verified here, on the orbit of the full state set under rho(G) for a
+generating set G, without building the representation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Transformation, TransformationSemigroup, multiplier
-from .green import ConsistencyError, green_poset, green_preorder
-from .maps import im_bar, im_bar_S
+from .core import Transformation, TransformationSemigroup, apply_mask, multiplier
+from .green import ConsistencyError, green_preorder
 from .order import induce, is_order_isomorphism, poset_isomorphic
-from .skeleton import inclusion_poset, skeleton_poset
+from .skeleton import inclusion, orbit, subduction
 
 
 @dataclass
 class RegRep:
     """The base semigroup together with its right-multiplication action.
 
-    States of ``rep`` are the elements of S^1, identity first and the rest
-    in canonical element order; ``state_of`` is that numbering.  ``rho_of``
-    holds rho(s) for every s in S^1: each element of ``rep`` under the
-    element it represents, plus the identity map of the states when S has
-    no identity.
+    States are the elements of S^1, identity first and the rest in
+    canonical order; ``state_of`` numbers them.  ``gens`` holds the image
+    tuple of rho(g) for each g of ``base.generating_images()``, and
+    ``images[a]`` the image of rho(carrier[a]) as a bit mask.
     """
 
     base: TransformationSemigroup
     monoid: TransformationSemigroup
     carrier: tuple
     state_of: dict
-    rep: TransformationSemigroup
-    rho_of: dict
+    gens: tuple
+    images: list
 
     def rho(self, s):
-        """The transformation of the state set S^1 representing s."""
-        return self.rho_of[s]
+        """The transformation of the state set S^1 representing s: a -> a*s."""
+        return Transformation(tuple(self.state_of[a * s] for a in self.carrier))
 
 
-def right_regular(ts, max_elements=1_000_000):
+def right_regular(ts):
     """Represent every element of S as right multiplication on S^1.
 
-    rho(g) is built for a generating set only, and ``rep`` is generated
-    from those maps.  The identity state goes to the state of s under
-    rho(s), so each r in ``rep`` is read as the element ``carrier[r(0)]``.
-    Every r is a product rho(g1)...rho(gk) = rho(g1...gk), so the reading
-    is rho's inverse; it is checked to be injective (the representation is
-    faithful, |rep| = |S|) and onto exactly the elements of S (it closes
-    onto S).
+    rho(g) is built for a generating set only: entry a is the state of a*g.
+    A breadth-first walk of those edges from the identity state must reach
+    every state of S (else ConsistencyError), and sets the image of
+    rho(a*g) to that of rho(a) under rho(g): one ``apply_mask`` per distinct
+    (image, g).  rho(s) sends the identity state to s, so the
+    representation is faithful by construction.
     """
     m = ts.adjoin_identity()
     one = m.identity()
     carrier = (one,) + tuple(t for t in m.elements if t != one)
     state_of = {a: i for i, a in enumerate(carrier)}
-    # rho(g) sends state a to state a*g, multiplied here on image tuples
     state_of_images = {a.images: i for a, i in state_of.items()}
     times = [multiplier(a.images) for a in carrier]
     gens = tuple(
-        Transformation(tuple(state_of_images[times_a(g)] for times_a in times))
-        for g in ts.generating_images()
+        tuple(state_of_images[times_a(g)] for times_a in times) for g in ts.generating_images()
     )
-    rep = TransformationSemigroup.generate(len(carrier), gens, max_elements)
-    rho_of = {carrier[r.images[0]]: r for r in rep.elements}
-    if rho_of.keys() != set(ts.elements):
-        raise ConsistencyError("representation does not close onto the represented elements")
-    if len(rho_of) != len(rep.elements):
-        raise ConsistencyError("right regular representation is not faithful")
-    rho_of.setdefault(one, Transformation.identity(len(carrier)))
-    return RegRep(ts, m, carrier, state_of, rep, rho_of)
+    images = [None] * len(carrier)
+    images[0] = (1 << len(carrier)) - 1
+    moved = {}
+    order = [0]
+    for a in order:
+        for k, rho_g in enumerate(gens):
+            b = rho_g[a]
+            if images[b] is None:
+                key = (images[a], k)
+                if key not in moved:
+                    moved[key] = apply_mask(images[a], rho_g)
+                images[b] = moved[key]
+                order.append(b)
+    if len(order) < len(carrier):
+        raise ConsistencyError(f"the walk misses {carrier[images.index(None)]}")
+    return RegRep(ts, m, carrier, state_of, gens, images)
 
 
 @dataclass
 class CorollaryReport:
     """Witnesses that, on the regular representation, the induced maps are isos.
 
-    ``j_map`` takes a J-class of the base S^1 to a skeleton class of the
-    representation by composing the element bridge s -> rho(s) with the
-    representation's induced map on J-classes; ``l_map`` likewise lands in
-    the inclusion order of the representation's image sets.  ``j_found`` and
+    ``j_map`` takes the J-class of s in S^1 to the skeleton class of
+    im(rho(s)), ``l_map`` its L-class to that image set; ``j_found`` and
     ``l_found`` record that an independent backtracking search also finds
     isomorphisms.
     """
@@ -97,25 +99,28 @@ class CorollaryReport:
         return self.j_is_iso and self.l_is_iso and self.j_found and self.l_found
 
 
-def corollary_check(ts, max_elements=1_000_000):
+def corollary_check(ts):
     """Verify both isomorphisms carried by the right regular representation.
 
-    (1) J-class order of S^1 vs the representation's skeleton, witnessed by
-    the induced map on J-classes (not merely by search); (2) L-class order
-    vs inclusion of the representation's image sets, witnessed likewise.
+    s -> im(rho(s)) induces maps from the J-classes to the skeleton classes
+    and from the L-classes to the image sets, and each must be an order
+    isomorphism.  The target carrier is the orbit of the full state set
+    under rho(G), found apart from the walk that gave the images.
     """
-    rr = right_regular(ts, max_elements)
+    rr = right_regular(ts)
     m = rr.monoid
-    mt = rr.rep.adjoin_identity()
+    incl = inclusion(orbit(len(rr.carrier), rr.gens))
+    members = {P.mask: P for P in incl.items}
+    if not members.keys() >= set(rr.images):
+        raise ConsistencyError("a walked image is not in the orbit of the full state set")
+    im = {s: members[rr.images[i]] for s, i in rr.state_of.items()}
     verdicts = []
-    for kind, rep_bar, target in (("J", im_bar_S, skeleton_poset), ("L", im_bar, inclusion_poset)):
-        bridge = induce(rr.rho_of, green_preorder(m, kind), green_preorder(mt, kind))
-        rep_map = rep_bar(mt).class_map
-        class_map = tuple(rep_map[c] for c in bridge.class_map)
-        source, dest = green_poset(m, kind), target(mt)
+    for kind, target in (("J", subduction(incl, rr.gens)), ("L", incl)):
+        bridge = induce(im, green_preorder(m, kind), target)
+        source, dest = bridge.source, bridge.target
         verdicts += [
-            class_map,
-            is_order_isomorphism(source.rows, dest.rows, class_map),
+            bridge.class_map,
+            is_order_isomorphism(source.rows, dest.rows, bridge.class_map),
             poset_isomorphic(source, dest) is not None,
         ]
     j_map, j_is_iso, j_found, l_map, l_is_iso, l_found = verdicts

@@ -13,6 +13,9 @@ Inclusion commutes with the action (P <= R gives P^s <= R^s), so
 subduction is the reflexive-transitive closure of the orbit edges and the
 inclusions together: |I(X)|*|G| subset images, not |I(X)|^2*|S^1|.  The
 extended carrier is closed too, since singletons map to singletons.
+
+``orbit``, ``inclusion`` and ``subduction`` need only generating image
+tuples, so ``regrep`` runs them on a representation it never builds.
 """
 
 from __future__ import annotations
@@ -66,27 +69,43 @@ class ImageSet:
         return self.origin.get(P)
 
 
+def orbit(n, gens):
+    """The orbit of the full set of n states under the image tuples ``gens``, sorted."""
+    order = [(1 << n) - 1]
+    seen = set(order)
+    for q in order:
+        for g in gens:
+            p = apply_mask(q, g)
+            if p not in seen:
+                seen.add(p)
+                order.append(p)
+    return tuple(sorted((StateSubset(n, p) for p in seen), key=StateSubset.sort_key))
+
+
+def inclusion(subsets):
+    """Plain subset inclusion on a list of subsets, as a Preorder."""
+    masks = [P.mask for P in subsets]
+    rows = [sum(1 << j for j, q in enumerate(masks) if p & ~q == 0) for p in masks]
+    return Preorder(subsets, rows)
+
+
+def subduction(incl, gens):
+    """Subduction on the carrier of ``incl``, acted on by the image tuples ``gens``.
+
+    The closure of the inclusion edges and the reversed orbit edges Q^g -> Q.
+    """
+    index = {P.mask: i for i, P in enumerate(incl.items)}
+    rows = list(incl.rows)
+    for q, i in index.items():
+        for g in gens:
+            rows[index[apply_mask(q, g)]] |= 1 << i
+    return Preorder(incl.items, transitive_closure_rows(rows))
+
+
 @per_monoid
 def image_set(m):
-    """I(X): every subset of the state set arising as an element's image.
-
-    The orbit of the full set under the generating images, sorted by
-    ``StateSubset.sort_key``, with the witnesses found on first use.
-    """
-    gens = m.generating_images()
-    seen = {(1 << m.n) - 1}
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for q in frontier:
-            for g in gens:
-                p = apply_mask(q, g)
-                if p not in seen:
-                    seen.add(p)
-                    fresh.append(p)
-        frontier = fresh
-    subsets = sorted((StateSubset(m.n, p) for p in seen), key=StateSubset.sort_key)
-    return ImageSet(m.n, tuple(subsets), m)
+    """I(X): the orbit of the full set under the generating images."""
+    return ImageSet(m.n, orbit(m.n, m.generating_images()), m)
 
 
 @per_monoid
@@ -102,29 +121,15 @@ def extended_image_set(m):
 
 @per_monoid
 def subduction_preorder(m, extended=False):
-    """The subduction relation on I(X) (or its extended variant) as a Preorder.
-
-    The inclusion edges P -> R (P <= R) and the reversed orbit edges
-    Q^g -> Q (g in the generating set) are closed once: P reaches Q exactly
-    when P lies in a member of Q's orbit.
-    """
-    incl = inclusion_preorder(m, extended)
-    index = {P.mask: i for i, P in enumerate(incl.items)}
-    rows = list(incl.rows)
-    gens = m.generating_images()
-    for q, i in index.items():
-        for g in gens:
-            rows[index[apply_mask(q, g)]] |= 1 << i
-    return Preorder(incl.items, transitive_closure_rows(rows))
+    """The subduction relation on I(X) (or its extended variant) as a Preorder."""
+    return subduction(inclusion_preorder(m, extended), m.generating_images())
 
 
 @per_monoid
 def inclusion_preorder(m, extended=False):
     """Plain subset inclusion on the same carrier; already antisymmetric."""
     iset = extended_image_set(m) if extended else image_set(m)
-    masks = [P.mask for P in iset.subsets]
-    rows = [sum(1 << j for j, q in enumerate(masks) if p & ~q == 0) for p in masks]
-    return Preorder(iset.subsets, rows)
+    return inclusion(iset.subsets)
 
 
 def inclusion_poset(ts, extended=False):

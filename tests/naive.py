@@ -9,9 +9,16 @@ messages compare exactly, say so.
 import itertools
 from dataclasses import dataclass
 
-from greenskel.core import DomainMismatchError, StateSubset, apply_mask
+from greenskel.core import (
+    DomainMismatchError,
+    StateSubset,
+    Transformation,
+    TransformationSemigroup,
+    apply_mask,
+)
 from greenskel.green import green_preorder
-from greenskel.order import MalformedPreorderError, _tarjan_sccs
+from greenskel.maps import im_bar, im_bar_S
+from greenskel.order import MalformedPreorderError, _tarjan_sccs, induce
 from greenskel.skeleton import image_set, subduction_preorder
 
 
@@ -97,6 +104,38 @@ def right_regular_table(elements, n):
     carrier = [one] + sorted(set(elements) - {one})
     state = {a: i for i, a in enumerate(carrier)}
     return {s: tuple(state[comp(a, s)] for a in carrier) for s in carrier}
+
+
+def regular_representation(ts):
+    """The representation semigroup itself, with rho over S^1, the long way.
+
+    rho(s) for every s of S^1 comes from ``right_regular_table``, and the
+    representation is generated from rho(s) for every s of S.  Takes and
+    returns the library's objects: ``(rep, rho)`` with ``rho`` a dict from
+    the elements of S^1 to their maps.
+    """
+    m = ts.adjoin_identity()
+    table = right_regular_table([t.images for t in ts.elements], ts.n)
+    rho = {s: Transformation(table[s.images]) for s in m.elements}
+    rep = TransformationSemigroup.generate(len(table), [rho[s] for s in ts.elements])
+    return rep, rho
+
+
+def corollary_maps(ts):
+    """``(j_map, l_map)`` through the representation's own Green classes.
+
+    s -> rho(s) is induced from the J (L) classes of S^1 into those of the
+    representation's monoid, then composed with that monoid's ``im_bar_S``
+    (``im_bar``) into its skeleton (inclusion) classes.
+    """
+    rep, rho = regular_representation(ts)
+    m, mt = ts.adjoin_identity(), rep.adjoin_identity()
+    maps = []
+    for kind, rep_bar in (("J", im_bar_S), ("L", im_bar)):
+        bridge = induce(rho, green_preorder(m, kind), green_preorder(mt, kind))
+        rep_map = rep_bar(mt).class_map
+        maps.append(tuple(rep_map[c] for c in bridge.class_map))
+    return tuple(maps)
 
 
 def image_of(s):

@@ -212,13 +212,15 @@ def test_regular_representation_over_corpus():
     for ts in corpus:
         report = corollary_check(ts)
         assert report.passed
-        rr = report.regrep
-        mt = rr.rep.adjoin_identity()
+        rep, rho = naive.regular_representation(ts)
+        assert len(rep) == len(ts)
+        mt = rep.adjoin_identity()
         rep_jq = green_poset(mt, "J")
         rep_map = im_bar_S(mt).class_map
-        jq = green_poset(rr.monoid, "J")
+        jq = green_poset(report.regrep.monoid, "J")
         for ci, cls in enumerate(jq.classes):
-            assert report.j_map[ci] == rep_map[rep_jq.class_of[rr.rho(cls[0])]]
+            assert report.j_map[ci] == rep_map[rep_jq.class_of[rho[cls[0]]]]
+        assert (report.j_map, report.l_map) == naive.corollary_maps(ts)
 
 
 @criterion(7, "quotient functoriality suite")

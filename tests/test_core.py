@@ -318,6 +318,20 @@ class TestSemigroup:
                 assert gens[: len(inside)] == inside
                 assert len(set(gens)) == len(gens)
                 assert naive.close(gens) == {t.images for t in src.elements}
+                ranks = [len(set(g)) for g in gens[len(inside) :]]
+                assert ranks == sorted(ranks, reverse=True)
+
+    def test_generating_images_join_by_rank(self, fixtures):
+        # [1 1 1] = [2 2 2]*[1 1 3]: [1 1 3] joins first, by its larger rank,
+        # and the [2 2 2] reached before it is multiplied by it
+        t, u, c = (Transformation.from_one_based(x) for x in ([2, 2, 2], [1, 1, 3], [1, 1, 1]))
+        assert TransformationSemigroup(3, [t], [t, u, c]).generating_images() == [t.images, u.images]
+        sizes = {
+            name: len(TransformationSemigroup(ts.n, ts.generators[:1], ts.elements).generating_images())
+            for name, ts in fixtures.items()
+            if name in ("full_t3", "hidden_relation", "nonlattice")
+        }
+        assert sizes == {"full_t3": 3, "hidden_relation": 3, "nonlattice": 6}
 
     def test_stored_generating_set_is_the_search_result(self, fixtures):
         # generate and adjoin_identity store a generating set instead of

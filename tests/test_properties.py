@@ -136,8 +136,12 @@ def test_im_and_diagram(ts):
 @given(semigroups(max_states=3, cap=24))
 def test_regular_representation(ts):
     rr = right_regular(ts)
-    assert len(rr.rep.elements) == len(ts.elements)
-    assert corollary_check(ts).passed
+    rep, _ = naive.regular_representation(ts)
+    assert {rr.rho(s) for s in ts.elements} == set(rep.elements)
+    assert len(rep.elements) == len(ts.elements)
+    report = corollary_check(ts)
+    assert report.passed
+    assert (report.j_map, report.l_map) == naive.corollary_maps(ts)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from greenskel import (
     ResourceLimitError,
+    StateSubset,
     Transformation,
     TransformationSemigroup,
     corollary_check,
@@ -13,8 +15,10 @@ from greenskel import (
     right_regular,
     skeleton_poset,
 )
-from greenskel.catalog import chain_collapse, collapse_motif, right_zero, trivial
+from greenskel import green, regrep
+from greenskel.catalog import chain_collapse, collapse_motif, full_tmonoid, right_zero, trivial
 from greenskel.cli import build_semigroup, parse
+from greenskel.green import ConsistencyError
 
 import naive
 
@@ -38,14 +42,22 @@ def semigroups(draw, max_states=3, cap=30):
 
 
 def assert_matches_table(ts):
-    """Representation and every rho(s) of S^1 agree with the full product table."""
+    """rho(G), every rho(s) of S^1 and its walked image agree with the full product table.
+
+    The representation the long way (``naive.regular_representation``) is
+    exactly the set of the rho(s), s in S: it closes onto S, faithfully.
+    """
     table = naive.right_regular_table([t.images for t in ts.elements], ts.n)
     rr = right_regular(ts)
-    want = sorted(table[t.images] for t in ts.elements)
-    assert [r.images for r in rr.rep.elements] == want
     assert len(rr.carrier) == len(table)
+    assert rr.gens == tuple(table[g] for g in ts.generating_images())
     for s in rr.carrier:
         assert rr.rho(s).images == table[s.images]
+        assert rr.images[rr.state_of[s]] == StateSubset.of(len(table), table[s.images]).mask
+    rep, _ = naive.regular_representation(ts)
+    want = sorted(table[t.images] for t in ts.elements)
+    assert [r.images for r in rep.elements] == want
+    assert sorted(rr.rho(s).images for s in ts.elements) == want
 
 
 def declared_generators_miss(ts):
@@ -87,9 +99,10 @@ class TestRepresentation:
     def test_faithful(self, fixtures):
         for ts in fixtures.values():
             rr = right_regular(ts)
-            assert len(rr.rep.elements) == len(ts.elements)
+            rep, _ = naive.regular_representation(ts)
+            assert len(rep.elements) == len(ts.elements)
             seen = {rr.rho(s) for s in ts.elements}
-            assert len(seen) == len(ts.elements)
+            assert seen == set(rep.elements)
 
     def test_rho_is_a_homomorphism(self):
         ts = chain_collapse()
@@ -146,14 +159,13 @@ class TestRepresentation:
                 relabeled[sigma[x]] = sigma[y] + 1
             assert tuple(relabeled) == reference[s]
 
-    def test_cap_propagates(self):
-        with pytest.raises(ResourceLimitError):
-            right_regular(collapse_motif(), max_elements=2)
-
     def test_right_zero_without_identity(self):
         ts = right_zero(3)
         rr = right_regular(ts)
-        assert len(rr.carrier) == 4 and len(rr.rep.elements) == 3
+        rep, _ = naive.regular_representation(ts)
+        assert len(rr.carrier) == 4 and len(rep.elements) == 3
+        # rho(s) of a right zero s is constant at s, and rho(1) is onto
+        assert rr.images == [0b1111, 0b0010, 0b0100, 0b1000]
 
 
 class TestCorollary:
@@ -166,16 +178,19 @@ class TestCorollary:
 
     def test_declared_generators_miss_elements(self, fixtures):
         for name, ts in fixtures.items():
-            src = TransformationSemigroup(ts.n, ts.generators[:1], ts.elements)
+            src = declared_generators_miss(ts)
             report = corollary_check(src)
             assert report.passed, name
-            assert report.regrep.rep.elements == right_regular(ts).rep.elements
+            whole = corollary_check(ts)
+            assert (report.j_map, report.l_map) == (whole.j_map, whole.l_map), name
+            assert report.regrep.images == whole.regrep.images, name
 
     def test_maps_come_from_the_induced_maps(self):
         ts = collapse_motif()
         report = corollary_check(ts)
         rr = report.regrep
-        mt = rr.rep.adjoin_identity()
+        rep, _ = naive.regular_representation(ts)
+        mt = rep.adjoin_identity()
         jq = green_poset(rr.monoid, "J")
         sq = skeleton_poset(mt)
         for ci, cls in enumerate(jq.classes):
@@ -187,12 +202,107 @@ class TestCorollary:
 
     def test_rep_skeleton_size_equals_j_class_count(self, fixtures):
         for ts in fixtures.values():
-            rr = right_regular(ts)
-            mt = rr.rep.adjoin_identity()
-            assert len(skeleton_poset(mt)) == len(green_poset(rr.monoid, "J"))
-            assert len(inclusion_poset(mt)) == len(green_poset(rr.monoid, "L"))
+            report = corollary_check(ts)
+            rep, _ = naive.regular_representation(ts)
+            mt = rep.adjoin_identity()
+            m = report.regrep.monoid
+            assert len(skeleton_poset(mt)) == len(green_poset(m, "J")) == len(set(report.j_map))
+            assert len(inclusion_poset(mt)) == len(green_poset(m, "L")) == len(set(report.l_map))
 
     def test_trivial(self):
         report = corollary_check(trivial(1))
         assert report.passed
         assert report.j_map == (0,) and report.l_map == (0,)
+
+
+def assert_matches_oracle(ts):
+    report = corollary_check(ts)
+    assert report.passed
+    assert (report.j_map, report.l_map) == naive.corollary_maps(ts)
+
+
+class TestCorollaryOracle:
+    """j_map and l_map equal the maps composed through the representation semigroup."""
+
+    def test_fixtures(self, fixtures):
+        for ts in fixtures.values():
+            assert_matches_oracle(ts)
+            assert_matches_oracle(declared_generators_miss(ts))
+
+    def test_example_inputs(self):
+        for path in sorted(INPUTS.glob("*.tsg")):
+            assert_matches_oracle(build_semigroup(parse(path.read_text(encoding="utf-8"))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(semigroups(), st.booleans())
+    def test_generated(self, ts, miss):
+        assert_matches_oracle(declared_generators_miss(ts) if miss else ts)
+
+    def test_full_t4(self):
+        assert_matches_oracle(full_tmonoid(4))
+
+
+def foreign_semigroup_work(ts, check=corollary_check):
+    """Calls made by ``check(ts)`` that work on a semigroup other than S^1.
+
+    Every call of ``TransformationSemigroup.generate`` counts, and every
+    call of ``green_preorder``, through any module that holds it, on a
+    semigroup whose S^1 is not that of ``ts``.
+    """
+    m = ts.adjoin_identity()
+    calls = []
+    generate = TransformationSemigroup.generate.__func__
+    green_preorder = green.green_preorder
+
+    def counted_generate(cls, *args, **kwargs):
+        calls.append(("generate", args))
+        return generate(cls, *args, **kwargs)
+
+    def counted_green_preorder(x, *args, **kwargs):
+        if x.adjoin_identity() is not m:
+            calls.append(("green_preorder", x))
+        return green_preorder(x, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TransformationSemigroup, "generate", classmethod(counted_generate))
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get("green_preorder") is green_preorder:
+                mp.setattr(module, "green_preorder", counted_green_preorder)
+        check(ts)
+    return calls
+
+
+class TestNoRepresentationSemigroup:
+    def test_fixtures_and_full_t4(self, fixtures):
+        for name, ts in {**fixtures, "full_t4": full_tmonoid(4)}.items():
+            assert foreign_semigroup_work(ts) == [], name
+            assert foreign_semigroup_work(declared_generators_miss(ts)) == [], name
+
+    def test_counter_sees_the_representation_semigroup(self):
+        # the long way generates the representation and takes its Green's relations
+        calls = foreign_semigroup_work(collapse_motif(), naive.corollary_maps)
+        assert [kind for kind, _ in calls].count("generate") == 1
+        assert any(kind == "green_preorder" for kind, _ in calls)
+
+
+class TestWalkChecks:
+    def test_unreached_state_raises(self):
+        # a and b generate collapse_motif; a alone misses b
+        ts = collapse_motif()
+        first = ts.generating_images()[:1]
+        ts.generating_images = lambda: list(first)
+        with pytest.raises(ConsistencyError, match="miss"):
+            right_regular(ts)
+
+    def test_image_outside_the_orbit_raises(self, monkeypatch):
+        # the identity state lies only in the full image, that of a unit
+        real = regrep.right_regular
+
+        def planted(ts):
+            rr = real(ts)
+            rr.images[-1] |= 1
+            return rr
+
+        monkeypatch.setattr(regrep, "right_regular", planted)
+        with pytest.raises(ConsistencyError, match="orbit"):
+            regrep.corollary_check(collapse_motif())

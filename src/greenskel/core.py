@@ -57,10 +57,12 @@ class Transformation:
 
     The hash is computed once.  It is ``hash((images,))``, the value of the
     generated dataclass hash, so sets of maps keep their iteration order.
+    The repr is computed on first use and kept.
     """
 
     images: tuple
     _hash: int = field(init=False, repr=False, compare=False)
+    _repr: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         images = tuple(self.images)
@@ -72,6 +74,7 @@ class Transformation:
             if not isinstance(x, int) or not 0 <= x < n:
                 raise ValueError(f"image entry {x!r} outside 0..{n - 1}")
         object.__setattr__(self, "_hash", hash((images,)))
+        object.__setattr__(self, "_repr", None)
 
     @classmethod
     def _product(cls, images):
@@ -79,6 +82,7 @@ class Transformation:
         t = object.__new__(cls)
         object.__setattr__(t, "images", images)
         object.__setattr__(t, "_hash", hash((images,)))
+        object.__setattr__(t, "_repr", None)
         return t
 
     def __hash__(self):
@@ -120,7 +124,9 @@ class Transformation:
         return StateSubset.of(self.n, set(self.images))
 
     def __repr__(self):
-        return "T[%s]" % " ".join(str(x) for x in self.one_based)
+        if self._repr is None:
+            object.__setattr__(self, "_repr", "T[%s]" % " ".join([str(x + 1) for x in self.images]))
+        return self._repr
 
     __str__ = __repr__
 
@@ -157,7 +163,8 @@ class StateSubset:
 
     @property
     def members(self):
-        return tuple(x for x in range(self.n) if self.mask >> x & 1)
+        # one pass over the binary digits, lowest first: no shift of the whole mask per state
+        return tuple([x for x, bit in enumerate(bin(self.mask)[:1:-1]) if bit == "1"])
 
     @property
     def one_based(self):

@@ -4,8 +4,12 @@ All relations live on the monoid S^1 (the identity is adjoined when missing).
 Over a generating set G, the right Cayley graph has the edges s -> s*g and
 the left one s -> g*s.  Then s <=_R t exactly when t reaches s in the right
 graph (s lies in t*S^1), <=_L is reachability in the left graph and <=_J in
-their union, so each preorder is the reflexive-transitive closure of a
-reversed Cayley graph: |S^1|*|G| products, no multiplication table.
+their union.  The R-, L- and J-classes are the strongly connected
+components of those graphs (Froidure and Pin, 1997), so each preorder is
+kept on its classes: Tarjan over the graphs' successor tuples, built by
+|S^1|*|G| products, then the order of the classes as bit rows of C bits,
+not N.  H-classes are the (L-class, R-class) pairs.  No relation is
+stored per pair of elements.
 """
 
 from __future__ import annotations
@@ -13,47 +17,73 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import multiplier, per_monoid
-from .order import Preorder, transitive_closure_rows
+from .order import Preorder, closure_classes, transpose, union_over
 
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
-def _reversed_cayley_rows(m, which):
-    """Bit t of row s when t*g = s (R), g*t = s (L) or either (J), g in G."""
+@per_monoid
+def _cayley_graphs(m):
+    """The right and left Cayley graphs as successor tuples on element indices.
+
+    ``right[i]`` lists the index of s_i*g and ``left[i]`` that of g*s_i,
+    for g in the generating images: one pass of products.
+    """
     index = {t.images: i for i, t in enumerate(m.elements)}
+    images = list(index)
     gens = m.generating_images()
-    times_gens = [multiplier(g) for g in gens]
-    rows = [0] * len(index)
-    for s, i in index.items():
-        bit = 1 << i
-        times_s = multiplier(s)
-        for g, times_g in zip(gens, times_gens):
-            if which != "L":
-                rows[index[times_s(g)]] |= bit
-            if which != "R":
-                rows[index[times_g(s)]] |= bit
-    return rows
+    right = [tuple(map(index.__getitem__, map(multiplier(s), gens))) for s in images]
+    left = list(zip(*(map(index.__getitem__, map(multiplier(g), images)) for g in gens)))
+    return right, left
+
+
+def _h_classes(lp, rp):
+    """H as the meet of L and R, on (L-class, R-class) pairs numbered in item order.
+
+    Pair (l, r) lies below the pairs whose L-class is above l and whose
+    R-class is above r: the AND of two masks of pairs.
+    """
+    l_of, l_rows = lp.check()
+    r_of, r_rows = rp.check()
+    number = {}
+    class_of = [number.setdefault(pair, len(number)) for pair in zip(l_of, r_of)]
+    by_l = [0] * len(l_rows)
+    by_r = [0] * len(r_rows)
+    for h, (l, r) in enumerate(number):
+        by_l[l] |= 1 << h
+        by_r[r] |= 1 << h
+    up_l = [union_over(row, by_l) for row in l_rows]
+    up_r = [union_over(row, by_r) for row in r_rows]
+    return class_of, [up_l[l] & up_r[r] for l, r in number]
 
 
 @per_monoid
 def green_preorder(m, which):
-    """The preorder <=_K on S^1 for K in {"R", "L", "J", "H"}.
+    """The preorder <=_K on S^1 for K in {"R", "L", "J", "H"}, factored.
 
     s <=_K t holds when the principal K-ideal of s is contained in that of
-    t, i.e. when t reaches s in the K Cayley graph; <=_H is the meet of
-    <=_L and <=_R.
+    t, i.e. when t reaches s in the K Cayley graph, so the class rows are
+    the transposed reach of the graph's classes.  J follows the union of
+    the right and left edges, so it is found apart from R and L.  <=_H is
+    the meet of <=_L and <=_R.
     """
     if which == "H":
-        lrows = green_preorder(m, "L").rows
-        rrows = green_preorder(m, "R").rows
-        rows = [a & b for a, b in zip(lrows, rrows)]
-    elif which in ("R", "L", "J"):
-        rows = transitive_closure_rows(_reversed_cayley_rows(m, which))
-    else:
+        return Preorder.factored(
+            m.elements, *_h_classes(green_preorder(m, "L"), green_preorder(m, "R"))
+        )
+    if which not in ("R", "L", "J"):
         raise ValueError(f"unknown Green relation {which!r}")
-    return Preorder(m.elements, rows)
+    right, left = _cayley_graphs(m)
+    if which == "R":
+        graph = right
+    elif which == "L":
+        graph = left
+    else:
+        graph = [a + b for a, b in zip(right, left)]
+    class_of, reach = closure_classes(graph)
+    return Preorder.factored(m.elements, class_of, transpose(reach))
 
 
 def green_poset(ts, which):
@@ -83,25 +113,22 @@ class _UnionFind:
 def d_classes(m):
     """D-classes as the join of the L- and R-partitions.
 
-    Cross-checked against the J-classes: the two partitions must agree on a
-    finite semigroup, and a mismatch raises ConsistencyError.
+    The join is taken on class indices: L-class l and R-class r are joined
+    whenever an element lies in both.  It is cross-checked against the
+    J-classes: the two partitions must agree on a finite semigroup, and a
+    mismatch raises ConsistencyError.
     """
-    uf = _UnionFind(len(m.elements))
-    for which in ("L", "R"):
-        for cls in green_poset(m, which).classes:
-            first = m.index(cls[0])
-            for t in cls[1:]:
-                uf.union(first, m.index(t))
-    groups = {}
-    for i in range(len(m.elements)):
-        groups.setdefault(uf.find(i), []).append(i)
-    d_part = sorted(tuple(idx) for idx in groups.values())
-    j_part = sorted(
-        tuple(sorted(m.index(t) for t in cls)) for cls in green_poset(m, "J").classes
-    )
-    if d_part != j_part:
+    l_of, l_rows = green_preorder(m, "L").check()
+    r_of, r_rows = green_preorder(m, "R").check()
+    offset = len(l_rows)
+    uf = _UnionFind(offset + len(r_rows))
+    for l, r in set(zip(l_of, r_of)):
+        uf.union(l, offset + r)
+    number = {}
+    d_of = [number.setdefault(uf.find(l), len(number)) for l in l_of]
+    if d_of != green_preorder(m, "J").check()[0]:
         raise ConsistencyError("join of L and R does not match the J partition")
-    return tuple(tuple(m.elements[i] for i in idx) for idx in d_part)
+    return green_poset(m, "J").classes
 
 
 @dataclass

@@ -141,8 +141,8 @@ def verify_diagram(ts):
     i_to_s = tuple(sq.class_of[iq.classes[c][0]] for c in range(len(iq)))
 
     arrows = {
-        # Preorder.check builds the class rows from the item rows: every item
-        # lies in its class, and class(a) <= class(b) exactly when a <= b
+        # Preorder.check returns exact class rows: every item lies in its
+        # class, and class(a) <= class(b) exactly when a <= b
         "S1->S1/L": {"surjective": True, "order_preserving": True},
         "S1->S1/J": {"surjective": True, "order_preserving": True},
         # im_bar raises unless onto the inclusion classes, which are single

@@ -1,13 +1,19 @@
 """Finite preorders, their partial-order quotients, and maps between them.
 
-Relations are stored densely: ``rows[i]`` is a bit mask whose bit j says
-``items[i] <= items[j]``.  A relation given by its generating edges, such
-as a Cayley graph, is closed by ``transitive_closure_rows``: Tarjan's
-strongly connected components, then one pass over their condensation.
-A closed relation needs no graph search to be quotiented: two items are
-mutually related exactly when their rows are equal, so ``Preorder.check``
-groups equal rows and checks transitivity once per group, and ``quotient``
-takes those groups as its classes.
+A ``Preorder`` is held in one of two forms.  Dense: ``rows[i]`` is a bit
+mask whose bit j says ``items[i] <= items[j]``; two items are mutually
+related exactly when their rows are equal, so ``Preorder.check`` groups
+equal rows into the classes and checks transitivity once per group.
+Factored (``Preorder.factored``): the class of every item plus the order
+of the classes, one bit per class; its item rows are derived only when
+read.  ``Preorder.check`` returns the classes of either form, and
+``quotient`` takes them.
+
+A relation given by its generating edges, such as a Cayley graph, is
+closed by ``closure_classes``: Tarjan's strongly connected components of
+the adjacency lists, then one pass over their condensation with class bit
+rows, which is the factored form.  ``transitive_closure_rows`` expands
+that to dense rows for small carriers.
 """
 
 from __future__ import annotations
@@ -30,16 +36,43 @@ class NotAMorphismError(ValueError):
 
 
 class Preorder:
-    """An indexed carrier plus a reflexive-transitive boolean relation."""
+    """An indexed carrier plus a reflexive-transitive boolean relation.
+
+    ``Preorder(items, rows)`` is the dense form.  ``Preorder.factored``
+    builds the factored form, whose item-level ``rows`` and index are
+    derived on first use.
+    """
 
     def __init__(self, items, rows):
         self.items = tuple(items)
         self.rows = list(rows)
         if len(self.rows) != len(self.items):
             raise ValueError("relation size does not match carrier size")
-        self._index = {a: i for i, a in enumerate(self.items)}
         if len(self._index) != len(self.items):
             raise ValueError("carrier items must be distinct")
+        self._factors = None
+
+    @classmethod
+    def factored(cls, items, class_of, class_rows):
+        """The preorder in which items[i] <= items[j] when class_of[i] <= class_of[j].
+
+        Classes are numbered by least member; bit d of ``class_rows[c]``
+        says class c <= class d.  The items must be distinct.
+        """
+        p = cls.__new__(cls)
+        p.items = tuple(items)
+        if len(class_of) != len(p.items):
+            raise ValueError("class list size does not match carrier size")
+        p._factors = (class_of, class_rows)
+        return p
+
+    @cached_property
+    def rows(self):
+        return _item_rows(*self._factors)
+
+    @cached_property
+    def _index(self):
+        return {a: i for i, a in enumerate(self.items)}
 
     def __len__(self):
         return len(self.items)
@@ -56,14 +89,20 @@ class Preorder:
     def check(self):
         """Raise MalformedPreorderError unless reflexive and transitive.
 
-        Reflexivity is checked per item.  In a reflexive, transitive
+        Returns the class of every item and each class's row: the classes
+        and order of ``quotient``.  A factored preorder is checked on its
+        class rows, which must also be antisymmetric.  A dense one is
+        checked per item for reflexivity; in a reflexive, transitive
         relation two items are mutually related exactly when their rows are
-        equal, so transitivity is checked once per group of equal rows; the
-        first failing item and its witness are those an item-by-item scan
-        finds.  Returns the group of every item and each group's class row
-        (bit h when the group's row holds a member of group h): the classes
-        and order of ``quotient``.
+        equal, so transitivity is checked once per group of equal rows, and
+        the first failing item and its witness are those an item-by-item
+        scan finds.  The groups, numbered by least member, are the classes,
+        and a class row holds bit h when the group's row holds a member of
+        group h.
         """
+        if self._factors is not None:
+            _check_class_rows(self.items, *self._factors)
+            return self._factors
         for i, row in enumerate(self.rows):
             if not row >> i & 1:
                 raise MalformedPreorderError(f"relation not reflexive at {self.items[i]!r}")
@@ -89,6 +128,51 @@ class Preorder:
     def poset(self):
         """``quotient(self)``, computed on first use and kept."""
         return quotient(self)
+
+
+def _check_class_rows(items, class_of, class_rows):
+    """Raise MalformedPreorderError unless the class rows are a partial order.
+
+    Reflexivity and transitivity are checked per class.  In a reflexive,
+    transitive relation two classes are mutually related exactly when their
+    rows are equal, so the rows must be distinct.  Each class is named in
+    the message by its least member.
+    """
+
+    def rep(c):
+        return items[class_of.index(c)]
+
+    first = {}
+    for c, row in enumerate(class_rows):
+        if not row >> c & 1:
+            raise MalformedPreorderError(f"relation not reflexive at {rep(c)!r}")
+        bad = union_over(row, class_rows) & ~row
+        if bad:
+            raise MalformedPreorderError(
+                f"relation not transitive: {rep(c)!r} reaches {rep((bad & -bad).bit_length() - 1)!r} in two steps only"
+            )
+        d = first.setdefault(row, c)
+        if d != c:
+            raise MalformedPreorderError(f"classes of {rep(d)!r} and {rep(c)!r} are mutually related")
+
+
+def _item_rows(class_of, class_rows):
+    """Dense rows of a factored preorder: every member of every class above the item's."""
+    members = [0] * len(class_rows)
+    for i, c in enumerate(class_of):
+        members[c] |= 1 << i
+    up = [union_over(row, members) for row in class_rows]
+    return [up[c] for c in class_of]
+
+
+def union_over(row, masks):
+    """The OR of ``masks[k]`` over the bits k of ``row``."""
+    acc = 0
+    while row:
+        low = row & -row
+        acc |= masks[low.bit_length() - 1]
+        row ^= low
+    return acc
 
 
 def _row_groups(rows):
@@ -122,87 +206,105 @@ def _hit_groups(row, group_of, masks):
         rest &= ~masks[h]
 
 
-def _tarjan_sccs(rows):
-    """Strongly connected components of the relation digraph, iteratively."""
-    n = len(rows)
-    index = [0] * n
+def strongly_connected(succ):
+    """Tarjan's strongly connected components of a digraph, iteratively.
+
+    ``succ[v]`` lists the heads of the edges out of v.  Returns the number
+    of components and the component of every vertex; each component is
+    numbered after every component it reaches.
+    """
+    n = len(succ)
+    order = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
-    visited = [False] * n
     comp_of = [-1] * n
     stack = []
     counter = 0
     ncomp = 0
     for root in range(n):
-        if visited[root]:
+        if order[root] >= 0:
             continue
-        work = [(root, 0)]
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                visited[v] = True
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            rest = rows[v] >> pi
-            while rest:
-                step = (rest & -rest).bit_length()
-                w = pi + step - 1
-                pi = w + 1
-                rest = rows[v] >> pi
-                if not visited[w]:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+            v, heads = work[-1]
+            for w in heads:
+                if order[w] < 0:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
+                # a vertex seen but not yet in a component is on the stack
+                if comp_of[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        comp_of[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
     return ncomp, comp_of
+
+
+def closure_classes(succ):
+    """Reflexive-transitive closure of a digraph, in ``Preorder.factored`` form.
+
+    The classes are the strongly connected components of ``succ``,
+    renumbered by least member, and bit d of ``class_rows[c]`` says class
+    c reaches class d.  Tarjan numbers each component after every
+    component it reaches, so one ascending pass over the components finds
+    the reach of each from the reaches already found: bit rows of C
+    classes, not of the n vertices.
+    """
+    ncomp, comp_of = strongly_connected(succ)
+    renumber = [-1] * ncomp
+    count = 0
+    for c in comp_of:
+        if renumber[c] < 0:
+            renumber[c] = count
+            count += 1
+    class_of = [renumber[c] for c in comp_of]
+    out = [0] * ncomp
+    for v, heads in enumerate(succ):
+        c = comp_of[v]
+        for w in heads:
+            out[c] |= 1 << class_of[w]
+    class_rows = [0] * ncomp
+    for c in range(ncomp):
+        acc = 1 << renumber[c]
+        rest = out[c] & ~acc
+        while rest:
+            acc |= class_rows[(rest & -rest).bit_length() - 1]
+            rest &= ~acc
+        class_rows[renumber[c]] = acc
+    return class_of, class_rows
 
 
 def transitive_closure_rows(rows):
     """Reflexive-transitive closure of a relation given as bit-mask rows.
 
-    Tarjan numbers each strongly connected component after every component
-    it reaches, so one ascending pass over the components finds the reach
-    of each from the reaches already found.  Members of a component share
-    one row.
+    The closure of the digraph with an edge i -> j for each bit j of
+    ``rows[i]``, by ``closure_classes``, expanded to one row per item;
+    members of a class share one row.
     """
-    ncomp, comp_of = _tarjan_sccs(rows)
-    members = [0] * ncomp
-    for i, c in enumerate(comp_of):
-        members[c] |= 1 << i
-    reach = [0] * ncomp
-    for c in range(ncomp):
-        out = 0
-        rest = members[c]
-        while rest:
-            low = rest & -rest
-            out |= rows[low.bit_length() - 1]
-            rest ^= low
-        acc = members[c]
-        rest = out & ~acc
-        while rest:
-            acc |= reach[comp_of[(rest & -rest).bit_length() - 1]]
-            rest &= ~acc
-        reach[c] = acc
-    return [reach[c] for c in comp_of]
+    succ = []
+    for row in rows:
+        heads = []
+        while row:
+            low = row & -row
+            heads.append(low.bit_length() - 1)
+            row ^= low
+        succ.append(heads)
+    return _item_rows(*closure_classes(succ))
 
 
 @dataclass
@@ -247,11 +349,12 @@ class ClassPoset:
         return tuple(i for i in range(len(self.classes)) if self.strict_up_mask(i) == 0)
 
     def minimal(self):
-        up = _transpose(self.rows)
+        up = transpose(self.rows)
         return tuple(i for i in range(len(self.classes)) if up[i] & ~(1 << i) == 0)
 
 
-def _transpose(rows):
+def transpose(rows):
+    """The converse relation: bit i of row j when bit j of row i."""
     n = len(rows)
     cols = [0] * n
     for i, row in enumerate(rows):
@@ -270,33 +373,34 @@ def _down_count(rows, i):
 def quotient(p):
     """Collapse mutual comparabilities; the classes inherit a partial order.
 
-    The classes are the groups of equal rows that ``p.check()`` verified,
-    numbered by least member, ordered by the class rows it collected.
-    ``Preorder.poset`` keeps the result; this always computes.
+    The classes and class rows are those ``p.check()`` verified, numbered
+    by least member.  ``Preorder.poset`` keeps the result; this always
+    computes.
     """
-    group_of, rows = p.check()
+    class_idx, rows = p.check()
     members = [[] for _ in rows]
-    for a, g in zip(p.items, group_of):
-        members[g].append(a)
+    for a, c in zip(p.items, class_idx):
+        members[c].append(a)
     covers = _transitive_reduction(rows)
-    class_of = dict(zip(p.items, group_of))
+    class_of = dict(zip(p.items, class_idx))
     return ClassPoset(p.items, tuple(map(tuple, members)), rows, covers, class_of)
 
 
 def _transitive_reduction(rows):
-    n = len(rows)
+    """The covers (i, j) of a partial order, sorted: j is above i, nothing between.
+
+    j covers i when it is strictly above i and strictly above no class
+    strictly above i.
+    """
     strict = [row & ~(1 << i) for i, row in enumerate(rows)]
-    strict_down = _transpose(strict)
     covers = []
-    for i in range(n):
-        rest = strict[i]
+    for i, row in enumerate(strict):
+        rest = row & ~union_over(row, strict)
         while rest:
             low = rest & -rest
-            j = low.bit_length() - 1
+            covers.append((i, low.bit_length() - 1))
             rest ^= low
-            if strict[i] & strict_down[j] & ~(1 << j) == 0:
-                covers.append((i, j))
-    return tuple(sorted(covers))
+    return tuple(covers)
 
 
 def order_violation(src_rows, dst_rows, f):
@@ -489,7 +593,7 @@ def lattice_violation(poset):
     """
     n = len(poset)
     up = poset.rows
-    down = _transpose(poset.rows)
+    down = transpose(poset.rows)
     for i in range(n):
         for j in range(i + 1, n):
             common_up = up[i] & up[j]

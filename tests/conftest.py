@@ -5,10 +5,12 @@ import pytest
 from hypothesis import strategies as st
 
 from greenskel import (
+    Preorder,
     StateSubset,
     Transformation,
     TransformationSemigroup,
     extended_image_set,
+    green_preorder,
     image_set,
     inclusion_preorder,
     subduction_preorder,
@@ -85,6 +87,32 @@ def assert_relations_match_oracle(ts):
             sets, lambda a, b: naive.subduction(a, b, monoid)
         ), (ts, extended)
         assert incl.rows == naive.leq_rows(sets, lambda a, b: a <= b), (ts, extended)
+
+
+def assert_green_matches_dense_path(ts):
+    """Each Green preorder of a fresh copy of ``ts`` equals the dense oracle's.
+
+    The oracle closes the reversed Cayley rows with the bit-row Tarjan
+    (``naive.green_rows``).  Its quotient is ``naive.quotient``, whose cover
+    search is cubic in the classes; above 300 elements the library's dense
+    ``Preorder`` quotient stands in.  Compared: classes, class rows,
+    covers, ``class_of`` and the factored form ``check`` returns, then the
+    item rows, which nothing before derives.
+    """
+    m = TransformationSemigroup(ts.n, ts.generators, ts.elements).adjoin_identity()
+    for kind in ("R", "L", "J", "H"):
+        rows = naive.green_rows(m, kind)
+        if len(rows) <= 300:
+            want = naive.quotient(m.elements, rows)
+        else:
+            q = Preorder(m.elements, rows).poset
+            want = q.classes, q.rows, q.covers, q.class_of
+        p = green_preorder(m, kind)
+        got = p.poset
+        assert (got.classes, got.rows, got.covers, got.class_of) == want, (ts, kind)
+        assert p.check() == ([want[3][t] for t in m.elements], want[1]), (ts, kind)
+        assert "rows" not in vars(p)
+        assert p.rows == rows, (ts, kind)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

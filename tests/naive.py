@@ -18,7 +18,7 @@ from greenskel.core import (
 )
 from greenskel.green import green_preorder
 from greenskel.maps import im_bar, im_bar_S
-from greenskel.order import MalformedPreorderError, _tarjan_sccs, induce
+from greenskel.order import MalformedPreorderError, induce
 from greenskel.skeleton import image_set, subduction_preorder
 
 
@@ -63,6 +63,123 @@ def green_leq(a, b, monoid, kind):
     if kind == "H":
         return green_leq(a, b, monoid, "L") and green_leq(a, b, monoid, "R")
     raise ValueError(kind)
+
+
+def reversed_cayley_rows(m, which):
+    """Bit t of row s when t*g = s (R), g*t = s (L) or either (J), g in the generating images.
+
+    The library's Green path before it kept relations on classes: it takes
+    the semigroup object and element numbering, so rows compare exactly.
+    """
+    index = {t.images: i for i, t in enumerate(m.elements)}
+    gens = m.generating_images()
+    rows = [0] * len(index)
+    for s, i in index.items():
+        for g in gens:
+            if which != "L":
+                rows[index[comp(s, g)]] |= 1 << i
+            if which != "R":
+                rows[index[comp(g, s)]] |= 1 << i
+    return rows
+
+
+def green_rows(m, which):
+    """Dense rows of Green's preorder on S^1: bit j of row i when s_i <=_K s_j.
+
+    The reflexive-transitive closure of the reversed Cayley rows by the
+    bit-row Tarjan below, and H as the AND of the L and R rows.
+    """
+    m = m.adjoin_identity()
+    if which == "H":
+        return [a & b for a, b in zip(green_rows(m, "L"), green_rows(m, "R"))]
+    return tarjan_closure_rows(reversed_cayley_rows(m, which))
+
+
+def tarjan_sccs(rows):
+    """Strongly connected components of a bit-row digraph, iteratively.
+
+    Returns the count and the component of every vertex; each component is
+    numbered after every component it reaches.
+    """
+    n = len(rows)
+    index = [0] * n
+    low = [0] * n
+    on_stack = [False] * n
+    visited = [False] * n
+    comp_of = [-1] * n
+    stack = []
+    counter = 0
+    ncomp = 0
+    for root in range(n):
+        if visited[root]:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                visited[v] = True
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            rest = rows[v] >> pi
+            while rest:
+                step = (rest & -rest).bit_length()
+                w = pi + step - 1
+                pi = w + 1
+                rest = rows[v] >> pi
+                if not visited[w]:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp_of[w] = ncomp
+                    if w == v:
+                        break
+                ncomp += 1
+    return ncomp, comp_of
+
+
+def tarjan_closure_rows(rows):
+    """Reflexive-transitive closure of bit rows, by ``tarjan_sccs``.
+
+    Tarjan numbers each strongly connected component after every component
+    it reaches, so one ascending pass over the components finds the reach
+    of each from the reaches already found.  Members of a component share
+    one row.
+    """
+    ncomp, comp_of = tarjan_sccs(rows)
+    members = [0] * ncomp
+    for i, c in enumerate(comp_of):
+        members[c] |= 1 << i
+    reach = [0] * ncomp
+    for c in range(ncomp):
+        out = 0
+        rest = members[c]
+        while rest:
+            low = rest & -rest
+            out |= rows[low.bit_length() - 1]
+            rest ^= low
+        acc = members[c]
+        rest = out & ~acc
+        while rest:
+            acc |= reach[comp_of[(rest & -rest).bit_length() - 1]]
+            rest &= ~acc
+        reach[c] = acc
+    return [reach[c] for c in comp_of]
 
 
 def classes_by_mutual(items, leq):
@@ -478,8 +595,8 @@ def quotient(items, rows):
     """The quotient of a bit-mask relation the slow way, or MalformedPreorderError.
 
     Checks transitivity item by item (each row must hold the rows of all its
-    bits), finds the classes with the library's Tarjan components over the
-    dense rows, renumbers them by least member and finds the covers pair by
+    bits), finds the classes with ``tarjan_sccs`` over the dense rows,
+    renumbers them by least member and finds the covers pair by
     pair.  It takes bit-mask rows and raises the library's error, unlike the
     rest of this module, so that messages and numbering compare exactly.
     Returns ``(classes, rows, covers, class_of)`` as ``ClassPoset`` holds them.
@@ -497,7 +614,7 @@ def quotient(items, rows):
             raise MalformedPreorderError(
                 f"relation not transitive: {items[i]!r} reaches {items[j]!r} in two steps only"
             )
-    ncomp, comp_of = _tarjan_sccs(rows)
+    ncomp, comp_of = tarjan_sccs(rows)
     members = [[i for i in range(len(rows)) if comp_of[i] == c] for c in range(ncomp)]
     order = sorted(range(ncomp), key=lambda c: members[c][0])
     renumber = {old: new for new, old in enumerate(order)}

@@ -11,8 +11,11 @@ from greenskel import (
     MalformedPreorderError,
     NotAMorphismError,
     ResourceLimitError,
+    green_preorder,
 )
 from greenskel.cli import (
+    ALL_TASKS,
+    DOT_KINDS,
     InputDocument,
     InputError,
     MissingAnalysisError,
@@ -213,6 +216,19 @@ class TestRun:
         assert (bundle.semigroup is bundle.monoid) == bundle.semigroup.has_identity
         for ts in (bundle.semigroup, bundle.monoid):
             assert "elements" not in vars(ts) and "_index" not in vars(ts)
+
+    @pytest.mark.parametrize("path", [CHAIN, NONLATTICE, str(INPUTS / "right_zero.tsg")])
+    def test_all_tasks_derive_no_item_rows(self, path):
+        # every report reads Green's preorders on their classes; only a
+        # failed map law would derive the per-element rows
+        bundle = run(parse(read(path)), ALL_TASKS)
+        for which in DOT_KINDS:
+            emit_dot(bundle, which)
+        report_text(bundle)
+        report_data(bundle)
+        verification_lines(bundle)
+        for kind in ("R", "L", "J", "H"):
+            assert "rows" not in vars(green_preorder(bundle.monoid, kind)), kind
 
 
 class TestDot:

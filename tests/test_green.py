@@ -1,11 +1,18 @@
+from pathlib import Path
+
 import pytest
 
 from greenskel import (
+    ConsistencyError,
+    NotAMorphismError,
+    Transformation,
     d_classes,
     eggboxes,
     green_poset,
     green_preorder,
+    induce,
 )
+from greenskel.cli import parse
 from greenskel.core import NotClosedError, TransformationSemigroup
 from greenskel.catalog import (
     chain_collapse,
@@ -17,6 +24,9 @@ from greenskel.catalog import (
 )
 
 import naive
+from conftest import assert_green_matches_dense_path
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 
 def named(monoid, one_based):
@@ -129,6 +139,43 @@ class TestPreorders:
             TransformationSemigroup(ts.n, ts.generators, ts.elements[:-1])
 
 
+class TestDensePath:
+    """The class-level Green path against the dense per-element one it replaced."""
+
+    def test_fixtures(self, fixtures):
+        for ts in fixtures.values():
+            assert_green_matches_dense_path(ts)
+
+    def test_example_inputs(self):
+        paths = sorted(INPUTS.glob("*.tsg"))
+        assert paths
+        for path in paths:
+            doc = parse(path.read_text())
+            gens = [Transformation.from_one_based(g) for g in doc.generators]
+            assert_green_matches_dense_path(TransformationSemigroup.generate(doc.n, gens))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_full_transformation_monoids(self, n):
+        assert_green_matches_dense_path(full_tmonoid(n))
+
+    @pytest.mark.parametrize("kind", ["R", "L", "J", "H"])
+    @pytest.mark.parametrize("factory", [chain_collapse, collapse_motif, nonlattice, full_tmonoid])
+    def test_planted_non_morphism_witness_is_first_pair(self, kind, factory):
+        # shifting the element numbering by one breaks the preorder; the
+        # witness is the first failing pair of a pairwise scan in item order
+        m = factory().adjoin_identity()
+        n = len(m.elements)
+        f = [(i + 1) % n for i in range(n)]
+        rows = naive.green_rows(m, kind)
+        pairs = {(i, j) for i, row in enumerate(rows) for j in range(n) if row >> j & 1}
+        i, j = naive.first_order_violation(pairs, pairs, f)
+        p = green_preorder(m, kind)
+        fmap = {a: m.elements[t] for a, t in zip(m.elements, f)}
+        with pytest.raises(NotAMorphismError) as info:
+            induce(fmap, p, p)
+        assert info.value.witness == (m.elements[i], m.elements[j])
+
+
 class TestClasses:
     def test_chain_collapse_j_chain(self):
         m = chain_collapse()
@@ -167,6 +214,15 @@ class TestClasses:
                 for cls in green_poset(m, "J").classes
             )
             assert d == j
+
+    def test_d_classes_refuse_a_differing_j_partition(self):
+        # plant the finer L-partition as J on a fresh copy: the join of L
+        # and R no longer matches it
+        m = full_tmonoid(3)
+        m = TransformationSemigroup(m.n, m.generators, m.elements)
+        m._memo[(green_preorder.__wrapped__, ("J",))] = green_preorder(m, "L")
+        with pytest.raises(ConsistencyError, match="does not match the J partition"):
+            d_classes(m)
 
     def test_full_t3_class_counts(self):
         m = full_tmonoid(3)

@@ -17,8 +17,10 @@ from greenskel.catalog import chain_collapse
 from greenskel.order import (
     ClassPoset,
     _transitive_reduction,
+    closure_classes,
     is_order_isomorphism,
     order_violation,
+    strongly_connected,
     transitive_closure_rows,
 )
 
@@ -172,6 +174,34 @@ class TestPreorder:
         with pytest.raises(ValueError):
             Preorder(["a", "b"], [0b11])
 
+    def test_factored_check_rejects_missing_reflexivity(self):
+        p = Preorder.factored("abc", [0, 1, 1], [0b01, 0b00])
+        with pytest.raises(MalformedPreorderError, match="not reflexive at 'b'"):
+            p.check()
+
+    def test_factored_check_rejects_missing_transitivity(self):
+        # classes a <= b <= c but not a <= c
+        p = Preorder.factored("abcd", [0, 1, 2, 1], [0b011, 0b110, 0b100])
+        with pytest.raises(MalformedPreorderError, match="'a' reaches 'c' in two steps only"):
+            p.poset
+        assert "poset" not in vars(p)
+
+    def test_factored_check_rejects_mutually_related_classes(self):
+        p = Preorder.factored("abc", [0, 1, 2], [0b111, 0b111, 0b100])
+        with pytest.raises(MalformedPreorderError, match="classes of 'a' and 'b' are mutually related"):
+            p.check()
+
+    def test_factored_size_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            Preorder.factored("ab", [0], [0b1])
+
+    def test_factored_answers_through_item_rows(self):
+        p = Preorder.factored("abcd", [0, 1, 0, 2], [0b111, 0b110, 0b100])
+        assert p.rows == [0b1111, 0b1010, 0b1111, 0b1000]
+        assert p.index("c") == 2
+        assert p.leq("b", "d") and p.leq("a", "c") and p.leq("c", "a") and not p.leq("b", "a")
+        assert p.poset.classes == (("a", "c"), ("b",), ("d",))
+
     def test_leq_lookup(self):
         p = preorder_from_pairs("abc", [("a", "b"), ("b", "c")])
         assert p.leq("a", "c") and not p.leq("c", "a")
@@ -205,6 +235,31 @@ class TestPreorder:
     @example([0b0010, 0b0100, 0b0001, 0b0000])
     def test_closure_matches_fixpoint_oracle(self, rows):
         assert transitive_closure_rows(rows) == naive.transitive_closure_rows(rows)
+
+    @given(digraphs())
+    @settings(max_examples=200)
+    @example([])
+    @example([0b1])
+    @example([0b010, 0b101, 0b100])
+    @example([0b0010, 0b0100, 0b0001, 0b0000])
+    def test_closure_classes_match_naive_quotient(self, rows):
+        n = len(rows)
+        succ = [[j for j in range(n) if row >> j & 1] for row in rows]
+        ncomp, comp_of = strongly_connected(succ)
+        assert sorted(set(comp_of)) == list(range(ncomp))
+        # each component is numbered after every component it reaches
+        assert all(comp_of[v] >= comp_of[w] for v in range(n) for w in succ[v])
+        assert comp_of == naive.tarjan_sccs(rows)[1]
+        class_of, class_rows = closure_classes(succ)
+        closed = naive.transitive_closure_rows(rows)
+        classes, want_rows, covers, want_class_of = naive.quotient(list(range(n)), closed)
+        assert class_of == [want_class_of[i] for i in range(n)]
+        assert class_rows == want_rows
+        p = Preorder.factored(range(n), class_of, class_rows)
+        q = p.poset
+        assert (q.classes, q.rows, q.covers, q.class_of) == (classes, want_rows, covers, want_class_of)
+        assert "rows" not in vars(p)
+        assert p.rows == closed
 
 
 class TestQuotient:

@@ -22,7 +22,7 @@ from greenskel import (
 )
 
 import naive
-from conftest import assert_image_set_matches_scan
+from conftest import assert_green_matches_dense_path, assert_image_set_matches_scan
 from naive import subduction_leq
 
 
@@ -70,6 +70,12 @@ def test_green_preorders_match_naive(ts):
         for a in m.elements:
             for b in m.elements:
                 assert p.leq(a, b) == naive.green_leq(a.images, b.images, monoid, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(semigroups())
+def test_green_classes_match_dense_path(ts):
+    assert_green_matches_dense_path(ts)
 
 
 @settings(max_examples=60, deadline=None)

@@ -531,6 +531,8 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        if args.max_elements < 1:
+            raise InputError(f"--max-elements must be at least 1, got {args.max_elements}")
         try:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()

@@ -61,7 +61,7 @@ def _h_classes(lp, rp):
 
 @per_monoid
 def green_preorder(m, which):
-    """The preorder <=_K on S^1 for K in {"R", "L", "J", "H"}, factored.
+    """The preorder <=_K on S^1 for K in {"R", "L", "J", "H"}, on its classes.
 
     s <=_K t holds when the principal K-ideal of s is contained in that of
     t, i.e. when t reaches s in the K Cayley graph, so the class rows are
@@ -70,7 +70,7 @@ def green_preorder(m, which):
     the meet of <=_L and <=_R.
     """
     if which == "H":
-        return Preorder.factored(
+        return Preorder(
             m.elements, *_h_classes(green_preorder(m, "L"), green_preorder(m, "R"))
         )
     if which not in ("R", "L", "J"):
@@ -83,7 +83,7 @@ def green_preorder(m, which):
     else:
         graph = [a + b for a, b in zip(right, left)]
     class_of, reach = closure_classes(graph)
-    return Preorder.factored(m.elements, class_of, transpose(reach))
+    return Preorder(m.elements, class_of, transpose(reach))
 
 
 def green_poset(ts, which):

@@ -1,19 +1,14 @@
 """Finite preorders, their partial-order quotients, and maps between them.
 
-A ``Preorder`` is held in one of two forms.  Dense: ``rows[i]`` is a bit
-mask whose bit j says ``items[i] <= items[j]``; two items are mutually
-related exactly when their rows are equal, so ``Preorder.check`` groups
-equal rows into the classes and checks transitivity once per group.
-Factored (``Preorder.factored``): the class of every item plus the order
-of the classes, one bit per class; its item rows are derived only when
-read.  ``Preorder.check`` returns the classes of either form, and
-``quotient`` takes them.
+A ``Preorder`` is held on its classes: the class of every item plus the
+order of the classes, one bit row per class.  Its item-level rows are
+derived only when read.  ``Preorder.check`` validates the classes and
+their rows and returns them, and ``quotient`` takes them.
 
 A relation given by its generating edges, such as a Cayley graph, is
 closed by ``closure_classes``: Tarjan's strongly connected components of
 the adjacency lists, then one pass over their condensation with class bit
-rows, which is the factored form.  ``transitive_closure_rows`` expands
-that to dense rows for small carriers.
+rows, which is the form ``Preorder`` takes.
 """
 
 from __future__ import annotations
@@ -36,39 +31,31 @@ class NotAMorphismError(ValueError):
 
 
 class Preorder:
-    """An indexed carrier plus a reflexive-transitive boolean relation.
+    """An indexed carrier plus a reflexive-transitive relation, held on its classes.
 
-    ``Preorder(items, rows)`` is the dense form.  ``Preorder.factored``
-    builds the factored form, whose item-level ``rows`` and index are
-    derived on first use.
+    items[i] <= items[j] when class ``class_of[i]`` <= class
+    ``class_of[j]``: bit d of ``class_rows[c]`` says class c <= class d.
+    Classes are numbered by least member and the items must be distinct.
+    Item-level ``rows`` and the index are derived on first use.
     """
 
-    def __init__(self, items, rows):
+    def __init__(self, items, class_of, class_rows):
         self.items = tuple(items)
-        self.rows = list(rows)
-        if len(self.rows) != len(self.items):
-            raise ValueError("relation size does not match carrier size")
-        if len(self._index) != len(self.items):
-            raise ValueError("carrier items must be distinct")
-        self._factors = None
-
-    @classmethod
-    def factored(cls, items, class_of, class_rows):
-        """The preorder in which items[i] <= items[j] when class_of[i] <= class_of[j].
-
-        Classes are numbered by least member; bit d of ``class_rows[c]``
-        says class c <= class d.  The items must be distinct.
-        """
-        p = cls.__new__(cls)
-        p.items = tuple(items)
-        if len(class_of) != len(p.items):
+        if len(class_of) != len(self.items):
             raise ValueError("class list size does not match carrier size")
-        p._factors = (class_of, class_rows)
-        return p
+        if len(set(self.items)) != len(self.items):
+            raise ValueError("carrier items must be distinct")
+        self.class_of = class_of
+        self.class_rows = class_rows
 
     @cached_property
     def rows(self):
-        return _item_rows(*self._factors)
+        """Bit j of ``rows[i]`` says items[i] <= items[j]: every member of every class above i's."""
+        members = [0] * len(self.class_rows)
+        for i, c in enumerate(self.class_of):
+            members[c] |= 1 << i
+        up = [union_over(row, members) for row in self.class_rows]
+        return [up[c] for c in self.class_of]
 
     @cached_property
     def _index(self):
@@ -87,82 +74,57 @@ class Preorder:
         return self.leq_idx(self._index[a], self._index[b])
 
     def check(self):
-        """Raise MalformedPreorderError unless reflexive and transitive.
+        """Raise MalformedPreorderError unless the classes are partially ordered.
 
         Returns the class of every item and each class's row: the classes
-        and order of ``quotient``.  A factored preorder is checked on its
-        class rows, which must also be antisymmetric.  A dense one is
-        checked per item for reflexivity; in a reflexive, transitive
-        relation two items are mutually related exactly when their rows are
-        equal, so transitivity is checked once per group of equal rows, and
-        the first failing item and its witness are those an item-by-item
-        scan finds.  The groups, numbered by least member, are the classes,
-        and a class row holds bit h when the group's row holds a member of
-        group h.
+        and order of ``quotient``.  One pass over ``class_of`` checks that
+        every item lies in a class already met or in the next one, so the
+        classes are numbered by least member, and that every class row has
+        a member.  The class rows are then checked per class: reflexive,
+        with no bit past the last class, transitive, and distinct, since in
+        a reflexive, transitive relation two classes with equal rows are
+        mutually related.  Each class is named in a message by its least
+        member.
         """
-        if self._factors is not None:
-            _check_class_rows(self.items, *self._factors)
-            return self._factors
-        for i, row in enumerate(self.rows):
-            if not row >> i & 1:
-                raise MalformedPreorderError(f"relation not reflexive at {self.items[i]!r}")
-        group_of, masks, group_rows = _row_groups(self.rows)
-        class_rows = []
-        for g, row in enumerate(group_rows):
-            reach = 0
-            class_row = 0
-            for h in _hit_groups(row, group_of, masks):
-                reach |= group_rows[h]
-                class_row |= 1 << h
-            bad = reach & ~row
-            if bad:
-                i = (masks[g] & -masks[g]).bit_length() - 1
-                j = (bad & -bad).bit_length() - 1
+        items, class_of, class_rows = self.items, self.class_of, self.class_rows
+        count = 0
+        for i, c in enumerate(class_of):
+            if c == count:
+                count += 1
+            elif not 0 <= c < count:
                 raise MalformedPreorderError(
-                    f"relation not transitive: {self.items[i]!r} reaches {self.items[j]!r} in two steps only"
+                    f"class {c!r} of {items[i]!r} is not numbered by least member"
                 )
-            class_rows.append(class_row)
-        return group_of, class_rows
+        if count != len(class_rows):
+            raise MalformedPreorderError(
+                f"class count {count} differs from class row count {len(class_rows)}"
+            )
+
+        def rep(c):
+            return items[class_of.index(c)]
+
+        first = {}
+        for c, row in enumerate(class_rows):
+            if not row >> c & 1:
+                raise MalformedPreorderError(f"relation not reflexive at {rep(c)!r}")
+            if row >> count:
+                raise MalformedPreorderError(
+                    f"class of {rep(c)!r} is below a class that does not exist"
+                )
+            bad = union_over(row, class_rows) & ~row
+            if bad:
+                raise MalformedPreorderError(
+                    f"relation not transitive: {rep(c)!r} reaches {rep((bad & -bad).bit_length() - 1)!r} in two steps only"
+                )
+            d = first.setdefault(row, c)
+            if d != c:
+                raise MalformedPreorderError(f"classes of {rep(d)!r} and {rep(c)!r} are mutually related")
+        return class_of, class_rows
 
     @cached_property
     def poset(self):
         """``quotient(self)``, computed on first use and kept."""
         return quotient(self)
-
-
-def _check_class_rows(items, class_of, class_rows):
-    """Raise MalformedPreorderError unless the class rows are a partial order.
-
-    Reflexivity and transitivity are checked per class.  In a reflexive,
-    transitive relation two classes are mutually related exactly when their
-    rows are equal, so the rows must be distinct.  Each class is named in
-    the message by its least member.
-    """
-
-    def rep(c):
-        return items[class_of.index(c)]
-
-    first = {}
-    for c, row in enumerate(class_rows):
-        if not row >> c & 1:
-            raise MalformedPreorderError(f"relation not reflexive at {rep(c)!r}")
-        bad = union_over(row, class_rows) & ~row
-        if bad:
-            raise MalformedPreorderError(
-                f"relation not transitive: {rep(c)!r} reaches {rep((bad & -bad).bit_length() - 1)!r} in two steps only"
-            )
-        d = first.setdefault(row, c)
-        if d != c:
-            raise MalformedPreorderError(f"classes of {rep(d)!r} and {rep(c)!r} are mutually related")
-
-
-def _item_rows(class_of, class_rows):
-    """Dense rows of a factored preorder: every member of every class above the item's."""
-    members = [0] * len(class_rows)
-    for i, c in enumerate(class_of):
-        members[c] |= 1 << i
-    up = [union_over(row, members) for row in class_rows]
-    return [up[c] for c in class_of]
 
 
 def union_over(row, masks):
@@ -173,37 +135,6 @@ def union_over(row, masks):
         acc |= masks[low.bit_length() - 1]
         row ^= low
     return acc
-
-
-def _row_groups(rows):
-    """Group the indices by equal rows, in one dict pass.
-
-    Groups are numbered by least member.  Returns the group of every index,
-    the member mask of every group and the row every group shares.
-    """
-    number = {}
-    group_of = []
-    masks = []
-    for i, row in enumerate(rows):
-        g = number.setdefault(row, len(masks))
-        if g == len(masks):
-            masks.append(0)
-        masks[g] |= 1 << i
-        group_of.append(g)
-    return group_of, masks, list(number)
-
-
-def _hit_groups(row, group_of, masks):
-    """Each group that ``row`` holds a member of, once, in order of first hit.
-
-    After each hit the group's whole mask is cleared, so a row that holds a
-    group's later members without its least one still hits that group.
-    """
-    rest = row
-    while rest:
-        h = group_of[(rest & -rest).bit_length() - 1]
-        yield h
-        rest &= ~masks[h]
 
 
 def strongly_connected(succ):
@@ -256,7 +187,7 @@ def strongly_connected(succ):
 
 
 def closure_classes(succ):
-    """Reflexive-transitive closure of a digraph, in ``Preorder.factored`` form.
+    """Reflexive-transitive closure of a digraph, as the classes and rows of a ``Preorder``.
 
     The classes are the strongly connected components of ``succ``,
     renumbered by least member, and bit d of ``class_rows[c]`` says class
@@ -287,24 +218,6 @@ def closure_classes(succ):
             rest &= ~acc
         class_rows[renumber[c]] = acc
     return class_of, class_rows
-
-
-def transitive_closure_rows(rows):
-    """Reflexive-transitive closure of a relation given as bit-mask rows.
-
-    The closure of the digraph with an edge i -> j for each bit j of
-    ``rows[i]``, by ``closure_classes``, expanded to one row per item;
-    members of a class share one row.
-    """
-    succ = []
-    for row in rows:
-        heads = []
-        while row:
-            low = row & -row
-            heads.append(low.bit_length() - 1)
-            row ^= low
-        succ.append(heads)
-    return _item_rows(*closure_classes(succ))
 
 
 @dataclass

@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .core import StateSubset, apply_mask, per_monoid
-from .order import Preorder, transitive_closure_rows
+from .order import Preorder, closure_classes
 
 
 @dataclass
@@ -83,23 +83,24 @@ def orbit(n, gens):
 
 
 def inclusion(subsets):
-    """Plain subset inclusion on a list of subsets, as a Preorder."""
+    """Plain subset inclusion on distinct subsets, as a Preorder: one class per subset."""
     masks = [P.mask for P in subsets]
     rows = [sum(1 << j for j, q in enumerate(masks) if p & ~q == 0) for p in masks]
-    return Preorder(subsets, rows)
+    return Preorder(subsets, list(range(len(masks))), rows)
 
 
 def subduction(incl, gens):
     """Subduction on the carrier of ``incl``, acted on by the image tuples ``gens``.
 
     The closure of the inclusion edges and the reversed orbit edges Q^g -> Q.
+    ``incl`` is an ``inclusion``, whose class rows are its item rows.
     """
     index = {P.mask: i for i, P in enumerate(incl.items)}
-    rows = list(incl.rows)
+    succ = [[j for j, bit in enumerate(bin(row)[:1:-1]) if bit == "1"] for row in incl.class_rows]
     for q, i in index.items():
         for g in gens:
-            rows[index[apply_mask(q, g)]] |= 1 << i
-    return Preorder(incl.items, transitive_closure_rows(rows))
+            succ[index[apply_mask(q, g)]].append(i)
+    return Preorder(incl.items, *closure_classes(succ))
 
 
 @per_monoid

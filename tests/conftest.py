@@ -94,10 +94,11 @@ def assert_green_matches_dense_path(ts):
 
     The oracle closes the reversed Cayley rows with the bit-row Tarjan
     (``naive.green_rows``).  Its quotient is ``naive.quotient``, whose cover
-    search is cubic in the classes; above 300 elements the library's dense
-    ``Preorder`` quotient stands in.  Compared: classes, class rows,
-    covers, ``class_of`` and the factored form ``check`` returns, then the
-    item rows, which nothing before derives.
+    search is cubic in the classes; above 300 elements the classes and
+    class rows come from ``naive.equal_row_classes`` and the covers from
+    the library's quotient of them.  Compared: classes, class rows, covers,
+    ``class_of`` and the class form ``check`` returns, then the item rows,
+    which nothing before derives.
     """
     m = TransformationSemigroup(ts.n, ts.generators, ts.elements).adjoin_identity()
     for kind in ("R", "L", "J", "H"):
@@ -105,7 +106,7 @@ def assert_green_matches_dense_path(ts):
         if len(rows) <= 300:
             want = naive.quotient(m.elements, rows)
         else:
-            q = Preorder(m.elements, rows).poset
+            q = Preorder(m.elements, *naive.equal_row_classes(m.elements, rows)).poset
             want = q.classes, q.rows, q.covers, q.class_of
         p = green_preorder(m, kind)
         got = p.poset

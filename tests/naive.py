@@ -18,7 +18,7 @@ from greenskel.core import (
 )
 from greenskel.green import green_preorder
 from greenskel.maps import im_bar, im_bar_S
-from greenskel.order import MalformedPreorderError, induce
+from greenskel.order import MalformedPreorderError, Preorder, induce
 from greenskel.skeleton import image_set, subduction_preorder
 
 
@@ -635,6 +635,66 @@ def quotient(items, rows):
     )
     class_of = {a: class_idx[i] for i, a in enumerate(items)}
     return classes, class_rows, covers, class_of
+
+
+def preorder(items, rows):
+    """The library ``Preorder`` of closed bit rows, with the classes ``quotient`` finds."""
+    _, class_rows, _, class_of = quotient(items, rows)
+    return Preorder(items, [class_of[a] for a in items], class_rows)
+
+
+def equal_row_classes(items, rows):
+    """The classes and class rows of bit rows by grouping equal rows, or MalformedPreorderError.
+
+    The library's check of dense rows before every relation was held on its
+    classes.  In a reflexive, transitive relation two items are mutually
+    related exactly when their rows are equal, so the groups of equal rows,
+    numbered by least member, are the classes, and transitivity is checked
+    once per group: the first failing item and its witness are those an
+    item-by-item scan finds.  It stands in for ``quotient`` on carriers
+    where the cubic cover search is too slow.
+    """
+    for i, row in enumerate(rows):
+        if not row >> i & 1:
+            raise MalformedPreorderError(f"relation not reflexive at {items[i]!r}")
+    number = {}
+    class_of = []
+    masks = []
+    for i, row in enumerate(rows):
+        g = number.setdefault(row, len(masks))
+        if g == len(masks):
+            masks.append(0)
+        masks[g] |= 1 << i
+        class_of.append(g)
+    group_rows = list(number)
+    class_rows = []
+    for g, row in enumerate(group_rows):
+        reach = 0
+        class_row = 0
+        rest = row
+        while rest:
+            # a row that holds a group's later members without its least
+            # one still hits that group
+            h = class_of[(rest & -rest).bit_length() - 1]
+            reach |= group_rows[h]
+            class_row |= 1 << h
+            rest &= ~masks[h]
+        bad = reach & ~row
+        if bad:
+            i = (masks[g] & -masks[g]).bit_length() - 1
+            j = (bad & -bad).bit_length() - 1
+            raise MalformedPreorderError(
+                f"relation not transitive: {items[i]!r} reaches {items[j]!r} in two steps only"
+            )
+        class_rows.append(class_row)
+    return class_of, class_rows
+
+
+def class_item_rows(class_of, class_rows):
+    """Bit j of row i when class_of[i] <= class_of[j], pair by pair."""
+    return [
+        sum(1 << j for j, d in enumerate(class_of) if class_rows[c] >> d & 1) for c in class_of
+    ]
 
 
 def all_partitions(items):

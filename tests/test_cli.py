@@ -342,6 +342,12 @@ class TestMain:
         assert cli.main(["analyze", "--input", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_cap_exit_2(self, cap, capsys):
+        # an unusable argument is an input error, not a resource cap
+        assert cli.main(["analyze", "--input", NONLATTICE, "--max-elements", cap]) == 2
+        assert capsys.readouterr().err == f"error: --max-elements must be at least 1, got {cap}\n"
+
     def test_cap_exit_3(self, capsys):
         rc = cli.main(["analyze", "--input", NONLATTICE, "--max-elements", "5"])
         assert rc == 3

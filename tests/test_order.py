@@ -21,7 +21,6 @@ from greenskel.order import (
     is_order_isomorphism,
     order_violation,
     strongly_connected,
-    transitive_closure_rows,
 )
 
 import naive
@@ -37,7 +36,7 @@ def preorder_from_pairs(items, pairs):
                 if b == b2 and (a, c) not in closed:
                     closed.add((a, c))
                     changed = True
-    return Preorder(items, naive.leq_rows(items, lambda a, b: (a, b) in closed))
+    return naive.preorder(items, naive.leq_rows(items, lambda a, b: (a, b) in closed))
 
 
 def relations(max_n=6):
@@ -70,6 +69,49 @@ def digraphs(draw, max_n=14):
 
 def pair_set(rows):
     return {(i, j) for i, row in enumerate(rows) for j in range(len(rows)) if row >> j & 1}
+
+
+def successors(rows):
+    return [[j for j in range(len(rows)) if row >> j & 1] for row in rows]
+
+
+def closure(rows):
+    """The library's reflexive-transitive closure of bit rows, as a Preorder."""
+    return Preorder(range(len(rows)), *closure_classes(successors(rows)))
+
+
+SPOILS = ("exact", "flipped bit", "extra class", "renumbered class", "empty class")
+
+
+def spoil(class_of, class_rows, kind, a, b):
+    """A copy of a class list and its rows, exact or with one planted change.
+
+    The change may leave a valid class list, such as an item split off
+    below its class; every class index stays below the number of rows.
+    """
+    class_of, rows = list(class_of), list(class_rows)
+    count = len(rows)
+    if kind == "flipped bit" and count:
+        rows[a % count] ^= 1 << b % count
+    elif kind == "extra class" and class_of:
+        # item i moves into a new last class, below its old one
+        i = a % len(class_of)
+        rows.append(rows[class_of[i]] | 1 << count)
+        class_of[i] = count
+    elif kind == "renumbered class" and count:
+        swap = {a % count: b % count, b % count: a % count}
+        perm = [swap.get(c, c) for c in range(count)]
+        class_of = [perm[c] for c in class_of]
+        moved = [0] * count
+        for c, row in enumerate(rows):
+            moved[perm[c]] = sum(1 << perm[d] for d in range(count) if row >> d & 1)
+        rows = moved
+    elif kind == "empty class":
+        k = a % (count + 1)
+        class_of = [c + (c >= k) for c in class_of]
+        rows = [sum(1 << d + (d >= k) for d in range(count) if row >> d & 1) for row in rows]
+        rows.insert(k, 1 << k)
+    return class_of, rows
 
 
 @st.composite
@@ -130,14 +172,14 @@ def posets(draw, n=None):
         n = draw(st.integers(1, 6))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
     upward = [(min(a, b), max(a, b)) for a, b in pairs]
-    return quotient(Preorder(range(n), closed_rows(n, upward)))
+    return quotient(naive.preorder(range(n), closed_rows(n, upward)))
 
 
 def relabeled_poset(poset, perm):
     rows = [0] * len(poset)
     for i, j in pair_set(poset.rows):
         rows[perm[i]] |= 1 << perm[j]
-    return quotient(Preorder(range(len(poset)), rows))
+    return quotient(naive.preorder(range(len(poset)), rows))
 
 
 @pytest.fixture(scope="module")
@@ -155,48 +197,57 @@ def strict_digraph(nx, poset):
 
 
 class TestPreorder:
-    def test_check_rejects_missing_reflexivity(self):
-        p = Preorder(["a", "b"], [0b01, 0b00])
-        with pytest.raises(MalformedPreorderError):
-            p.check()
-
-    def test_check_rejects_missing_transitivity(self):
-        # a <= b <= c but not a <= c
-        p = Preorder(["a", "b", "c"], [0b011, 0b110, 0b100])
-        with pytest.raises(MalformedPreorderError):
-            p.check()
-
     def test_duplicate_items_rejected(self):
-        with pytest.raises(ValueError):
-            Preorder(["a", "a"], [0b11, 0b11])
+        with pytest.raises(ValueError, match="distinct"):
+            Preorder("aa", [0, 1], [0b01, 0b10])
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Preorder(["a", "b"], [0b11])
+        with pytest.raises(ValueError, match="size"):
+            Preorder("a", [0, 0], [0b1])
+
+    def test_check_rejects_empty_class(self):
+        p = Preorder("ab", [0, 0], [0b01, 0b10])
+        with pytest.raises(MalformedPreorderError, match="class count 1 differs from class row count 2"):
+            p.poset
+
+    def test_check_rejects_class_without_row(self):
+        p = Preorder("ab", [0, 5], [0b1])
+        with pytest.raises(MalformedPreorderError, match="class 5 of 'b' is not numbered by least member"):
+            p.poset
+
+    def test_check_rejects_classes_not_numbered_by_least_member(self):
+        p = Preorder("ab", [1, 0], [0b11, 0b10])
+        with pytest.raises(MalformedPreorderError, match="class 1 of 'a' is not numbered by least member"):
+            p.check()
+
+    def test_check_rejects_bit_past_last_class(self):
+        p = Preorder("a", [0], [0b11])
+        with pytest.raises(MalformedPreorderError, match="class of 'a' is below a class that does not exist"):
+            p.check()
 
     def test_factored_check_rejects_missing_reflexivity(self):
-        p = Preorder.factored("abc", [0, 1, 1], [0b01, 0b00])
+        p = Preorder("abc", [0, 1, 1], [0b01, 0b00])
         with pytest.raises(MalformedPreorderError, match="not reflexive at 'b'"):
             p.check()
 
     def test_factored_check_rejects_missing_transitivity(self):
         # classes a <= b <= c but not a <= c
-        p = Preorder.factored("abcd", [0, 1, 2, 1], [0b011, 0b110, 0b100])
+        p = Preorder("abcd", [0, 1, 2, 1], [0b011, 0b110, 0b100])
         with pytest.raises(MalformedPreorderError, match="'a' reaches 'c' in two steps only"):
             p.poset
         assert "poset" not in vars(p)
 
     def test_factored_check_rejects_mutually_related_classes(self):
-        p = Preorder.factored("abc", [0, 1, 2], [0b111, 0b111, 0b100])
+        p = Preorder("abc", [0, 1, 2], [0b111, 0b111, 0b100])
         with pytest.raises(MalformedPreorderError, match="classes of 'a' and 'b' are mutually related"):
             p.check()
 
     def test_factored_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Preorder.factored("ab", [0], [0b1])
+            Preorder("ab", [0], [0b1])
 
     def test_factored_answers_through_item_rows(self):
-        p = Preorder.factored("abcd", [0, 1, 0, 2], [0b111, 0b110, 0b100])
+        p = Preorder("abcd", [0, 1, 0, 2], [0b111, 0b110, 0b100])
         assert p.rows == [0b1111, 0b1010, 0b1111, 0b1000]
         assert p.index("c") == 2
         assert p.leq("b", "d") and p.leq("a", "c") and p.leq("c", "a") and not p.leq("b", "a")
@@ -214,9 +265,9 @@ class TestPreorder:
         rows = [0] * n
         for a, b in pairs:
             rows[a] |= 1 << b
-        closed = transitive_closure_rows(rows)
-        p = Preorder(list(range(n)), closed)
+        p = closure(rows)
         p.check()
+        closed = p.rows
         # contains the input
         for a, b in pairs:
             assert closed[a] >> b & 1
@@ -234,17 +285,23 @@ class TestPreorder:
     @example([0b010, 0b101, 0b100])
     @example([0b0010, 0b0100, 0b0001, 0b0000])
     def test_closure_matches_fixpoint_oracle(self, rows):
-        assert transitive_closure_rows(rows) == naive.transitive_closure_rows(rows)
+        assert closure(rows).rows == naive.transitive_closure_rows(rows)
 
-    @given(digraphs())
-    @settings(max_examples=200)
-    @example([])
-    @example([0b1])
-    @example([0b010, 0b101, 0b100])
-    @example([0b0010, 0b0100, 0b0001, 0b0000])
-    def test_closure_classes_match_naive_quotient(self, rows):
+    @given(digraphs(), st.tuples(st.sampled_from(SPOILS), st.integers(0, 99), st.integers(0, 99)))
+    @settings(max_examples=400)
+    @example([], ("exact", 0, 0))
+    @example([], ("extra class", 0, 0))
+    @example([0b1], ("exact", 0, 0))
+    @example([0b010, 0b101, 0b100], ("exact", 0, 0))
+    @example([0b0010, 0b0100, 0b0001, 0b0000], ("exact", 0, 0))
+    @example([0b010, 0b101, 0b100], ("flipped bit", 1, 1))  # not reflexive
+    @example([0b010, 0b100, 0b000], ("flipped bit", 0, 2))  # still a partial order
+    @example([0b0010, 0b0000, 0b0001], ("extra class", 2, 0))  # a valid split
+    @example([0b010, 0b100, 0b000], ("renumbered class", 0, 1))
+    @example([0b010, 0b100, 0b000], ("empty class", 1, 0))
+    def test_closure_classes_match_naive_quotient(self, rows, spoiling):
         n = len(rows)
-        succ = [[j for j in range(n) if row >> j & 1] for row in rows]
+        succ = successors(rows)
         ncomp, comp_of = strongly_connected(succ)
         assert sorted(set(comp_of)) == list(range(ncomp))
         # each component is numbered after every component it reaches
@@ -255,11 +312,28 @@ class TestPreorder:
         classes, want_rows, covers, want_class_of = naive.quotient(list(range(n)), closed)
         assert class_of == [want_class_of[i] for i in range(n)]
         assert class_rows == want_rows
-        p = Preorder.factored(range(n), class_of, class_rows)
+        p = Preorder(range(n), class_of, class_rows)
         q = p.poset
         assert (q.classes, q.rows, q.covers, q.class_of) == (classes, want_rows, covers, want_class_of)
         assert "rows" not in vars(p)
         assert p.rows == closed
+        # the one check passes exactly when the oracle quotient of the item
+        # rows gives back the class list, exact or spoiled
+        p = Preorder(range(n), *spoil(class_of, class_rows, *spoiling))
+        item_rows = naive.class_item_rows(p.class_of, p.class_rows)
+        assert p.rows == item_rows
+        try:
+            _, want_rows, _, want_class_of = naive.quotient(range(n), item_rows)
+        except MalformedPreorderError:
+            with pytest.raises(MalformedPreorderError):
+                p.check()
+            return
+        want = [want_class_of[i] for i in range(n)], want_rows
+        if (p.class_of, p.class_rows) == want:
+            assert p.check() == want
+        else:
+            with pytest.raises(MalformedPreorderError):
+                p.check()
 
 
 class TestQuotient:
@@ -271,7 +345,7 @@ class TestQuotient:
         assert q.class_of["b"] == 0
 
     def test_malformed_input_rejected(self):
-        p = Preorder(["a", "b", "c"], [0b011, 0b110, 0b100])
+        p = Preorder("abc", [0, 1, 2], [0b011, 0b110, 0b100])
         with pytest.raises(MalformedPreorderError):
             quotient(p)
 
@@ -299,15 +373,17 @@ class TestQuotient:
     @example([0b011, 0b011, 0b110])
     @example([0b0111, 0b0111, 0b1100, 0b1000])
     def test_matches_check_and_tarjan_oracle(self, rows):
+        # the equal-rows grouping stands in for the Tarjan oracle on large
+        # carriers; the library's quotient takes its classes
         items = list(range(len(rows)))
         try:
             want = naive.quotient(items, rows)
         except MalformedPreorderError as err:
             with pytest.raises(MalformedPreorderError) as got:
-                quotient(Preorder(items, rows))
+                naive.equal_row_classes(items, rows)
             assert str(got.value) == str(err)
             return
-        q = quotient(Preorder(items, rows))
+        q = quotient(Preorder(items, *naive.equal_row_classes(items, rows)))
         assert (q.classes, q.rows, q.covers, q.class_of) == want
 
     def test_poset_is_kept_and_equals_quotient(self):
@@ -324,7 +400,7 @@ class TestQuotient:
         )
 
     def test_malformed_poset_raises_on_every_access(self):
-        p = Preorder(["a", "b", "c"], [0b011, 0b110, 0b100])
+        p = Preorder("abc", [0, 1, 2], [0b011, 0b110, 0b100])
         for _ in range(2):
             with pytest.raises(MalformedPreorderError):
                 p.poset
@@ -332,9 +408,8 @@ class TestQuotient:
 
     def test_row_with_later_class_member_only(self):
         # 1 and 2 share a row; row 0 holds 2 but not 1
-        p = Preorder([0, 1, 2], [0b101, 0b110, 0b110])
         with pytest.raises(MalformedPreorderError) as err:
-            quotient(p)
+            naive.equal_row_classes([0, 1, 2], [0b101, 0b110, 0b110])
         assert str(err.value) == "relation not transitive: 0 reaches 1 in two steps only"
 
     @given(relations())
@@ -344,7 +419,7 @@ class TestQuotient:
         rows = [0] * n
         for a, b in pairs:
             rows[a] |= 1 << b
-        q = quotient(Preorder(list(range(n)), naive.transitive_closure_rows(rows)))
+        q = quotient(closure(rows))
         # antisymmetry of the class order
         for i in range(len(q)):
             for j in range(len(q)):
@@ -383,8 +458,8 @@ class TestMorphism:
     def test_malformed_preorder_reported_before_the_map(self):
         # b <= a is missing from the target, so the map breaks a <= b; the
         # target is not transitive either, and that is what is reported
-        src = Preorder("ab", [0b11, 0b11])
-        dst = Preorder("xyz", [0b011, 0b110, 0b100])
+        src = Preorder("ab", [0, 0], [0b1])
+        dst = Preorder("xyz", [0, 1, 2], [0b011, 0b110, 0b100])
         with pytest.raises(MalformedPreorderError, match="not transitive"):
             induce({"a": "y", "b": "x"}, src, dst)
 
@@ -442,8 +517,8 @@ class TestOrderViolation:
         src_rows, dst_rows, f = case
         want = naive.first_order_violation(pair_set(src_rows), pair_set(dst_rows), f)
         assert order_violation(src_rows, dst_rows, f) == want
-        src = Preorder([f"a{i}" for i in range(len(src_rows))], src_rows)
-        dst = Preorder([f"b{t}" for t in range(len(dst_rows))], dst_rows)
+        src = naive.preorder([f"a{i}" for i in range(len(src_rows))], src_rows)
+        dst = naive.preorder([f"b{t}" for t in range(len(dst_rows))], dst_rows)
         fmap = {f"a{i}": f"b{t}" for i, t in enumerate(f)}
         if want is None:
             out = induce(fmap, src, dst)
@@ -508,7 +583,7 @@ class TestIsomorphism:
         for a, b in pairs:
             rows[a] |= 1 << b
         closed = naive.transitive_closure_rows(rows)
-        p = quotient(Preorder(list(range(n)), closed))
+        p = quotient(naive.preorder(range(n), closed))
         perm = list(range(n))
         rng.shuffle(perm)
         rows2 = [0] * n
@@ -516,7 +591,7 @@ class TestIsomorphism:
             for j in range(n):
                 if closed[i] >> j & 1:
                     rows2[perm[i]] |= 1 << perm[j]
-        relabeled = quotient(Preorder(list(range(n)), rows2))
+        relabeled = quotient(naive.preorder(range(n), rows2))
         iso = poset_isomorphic(p, relabeled)
         assert iso is not None
         for i in range(len(p)):
@@ -570,5 +645,5 @@ class TestLattice:
         rows = [0] * n
         for a, b in pairs:
             rows[a] |= 1 << b
-        q = quotient(Preorder(list(range(n)), naive.transitive_closure_rows(rows)))
+        q = quotient(naive.preorder(range(n), naive.transitive_closure_rows(rows)))
         assert (lattice_violation(q) is None) == naive.is_lattice(q.leq_idx, len(q))

@@ -251,7 +251,7 @@ def report_text(bundle):
                 f"egg-box {i} [{box.members[0]!r}]: {rows}x{cols}, {len(box.members)} element(s)"
             )
     if bundle.skeleton is not None:
-        adjoined = len(getattr(bundle.images, "adjoined", ()))
+        adjoined = len(bundle.images.adjoined)
         suffix = f" (+{adjoined} adjoined singleton(s))" if adjoined else ""
         lines.append(f"image sets: {len(bundle.images)}{suffix}")
         lines.append(f"skeleton classes: {len(bundle.skeleton)}")
@@ -331,9 +331,7 @@ def report_data(bundle):
         data["counts"]["skeleton_classes"] = len(bundle.skeleton)
         violation = lattice_violation(bundle.skeleton)
         data["skeleton"] = _poset_data(bundle.skeleton, repr)
-        data["skeleton"]["adjoined"] = sorted(
-            repr(p) for p in getattr(bundle.images, "adjoined", ())
-        )
+        data["skeleton"]["adjoined"] = sorted(repr(p) for p in bundle.images.adjoined)
         data["skeleton"]["lattice"] = violation is None
         if violation is not None:
             data["skeleton"]["lattice_violation"] = {
@@ -466,8 +464,8 @@ def verification_lines(bundle):
     checks = []
 
     checks.append(("im respects both orders", all(bundle.diagram.arrows["im"].values())))
-    # a bundle with a diagram means run() built skeleton_poset(m), whose
-    # Preorder.check raises MalformedPreorderError on a malformed relation
+    # a bundle with a diagram means run() built subduction_preorder(m), and
+    # a Preorder that is not reflexive and transitive cannot be built
     checks.append(("subduction reflexive and transitive", True))
     same_size = all(
         len({len(p) for p in cls}) == 1 for cls in skeleton_poset(m).classes
@@ -538,6 +536,8 @@ def main(argv=None):
                 text = fh.read()
         except OSError as err:
             raise InputError(f"cannot read {args.input}: {err}") from None
+        except UnicodeDecodeError as err:
+            raise InputError(f"{args.input} is not UTF-8: {err}") from None
         doc = parse(text)
         if args.extended:
             doc = replace(doc, extended=True)

@@ -8,8 +8,9 @@ their union.  The R-, L- and J-classes are the strongly connected
 components of those graphs (Froidure and Pin, 1997), so each preorder is
 kept on its classes: Tarjan over the graphs' successor tuples, built by
 |S^1|*|G| products, then the order of the classes as bit rows of C bits,
-not N.  H-classes are the (L-class, R-class) pairs.  No relation is
-stored per pair of elements.
+not N.  H-classes are the (L-class, R-class) pairs, and D-classes the
+components of the graph joining each L-class to the R-classes it meets.
+No relation is stored per pair of elements.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import multiplier, per_monoid
-from .order import Preorder, closure_classes, transpose, union_over
+from .order import Preorder, closure_classes, strongly_connected, transpose, union_over
 
 
 class ConsistencyError(RuntimeError):
@@ -45,17 +46,15 @@ def _h_classes(lp, rp):
     Pair (l, r) lies below the pairs whose L-class is above l and whose
     R-class is above r: the AND of two masks of pairs.
     """
-    l_of, l_rows = lp.check()
-    r_of, r_rows = rp.check()
     number = {}
-    class_of = [number.setdefault(pair, len(number)) for pair in zip(l_of, r_of)]
-    by_l = [0] * len(l_rows)
-    by_r = [0] * len(r_rows)
+    class_of = [number.setdefault(pair, len(number)) for pair in zip(lp.class_of, rp.class_of)]
+    by_l = [0] * len(lp.class_rows)
+    by_r = [0] * len(rp.class_rows)
     for h, (l, r) in enumerate(number):
         by_l[l] |= 1 << h
         by_r[r] |= 1 << h
-    up_l = [union_over(row, by_l) for row in l_rows]
-    up_r = [union_over(row, by_r) for row in r_rows]
+    up_l = [union_over(row, by_l) for row in lp.class_rows]
+    up_r = [union_over(row, by_r) for row in rp.class_rows]
     return class_of, [up_l[l] & up_r[r] for l, r in number]
 
 
@@ -91,42 +90,27 @@ def green_poset(ts, which):
     return green_preorder(ts, which).poset
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 @per_monoid
 def d_classes(m):
     """D-classes as the join of the L- and R-partitions.
 
-    The join is taken on class indices: L-class l and R-class r are joined
-    whenever an element lies in both.  It is cross-checked against the
+    The join is taken on class indices, by the one Tarjan: a graph with a
+    node per L-class and one per R-class has edges both ways between
+    L-class l and R-class r whenever an element lies in both, and its
+    components are the D-classes.  They are cross-checked against the
     J-classes: the two partitions must agree on a finite semigroup, and a
     mismatch raises ConsistencyError.
     """
-    l_of, l_rows = green_preorder(m, "L").check()
-    r_of, r_rows = green_preorder(m, "R").check()
-    offset = len(l_rows)
-    uf = _UnionFind(offset + len(r_rows))
-    for l, r in set(zip(l_of, r_of)):
-        uf.union(l, offset + r)
+    lp, rp = green_preorder(m, "L"), green_preorder(m, "R")
+    offset = len(lp.class_rows)
+    succ = [[] for _ in range(offset + len(rp.class_rows))]
+    for l, r in set(zip(lp.class_of, rp.class_of)):
+        succ[l].append(offset + r)
+        succ[offset + r].append(l)
+    comp_of = strongly_connected(succ)[1]
     number = {}
-    d_of = [number.setdefault(uf.find(l), len(number)) for l in l_of]
-    if d_of != green_preorder(m, "J").check()[0]:
+    d_of = [number.setdefault(comp_of[l], len(number)) for l in lp.class_of]
+    if d_of != green_preorder(m, "J").class_of:
         raise ConsistencyError("join of L and R does not match the J partition")
     return green_poset(m, "J").classes
 
@@ -136,15 +120,13 @@ class EggBox:
     """One D-class laid out as a grid: R-classes x L-classes of H-cells."""
 
     members: tuple
-    row_reps: tuple
-    col_reps: tuple
     cells: tuple
     idempotent: tuple
     col_images: tuple
 
     @property
     def shape(self):
-        return len(self.row_reps), len(self.col_reps)
+        return len(self.cells), len(self.cells[0])
 
 
 def eggboxes(ts):
@@ -174,8 +156,6 @@ def eggboxes(ts):
         boxes.append(
             EggBox(
                 members=cls,
-                row_reps=tuple(rp.classes[ri][0] for ri in row_ids),
-                col_reps=tuple(lp.classes[ci][0] for ci in col_ids),
                 cells=tuple(cells),
                 idempotent=tuple(flags),
                 col_images=col_images,

@@ -141,7 +141,7 @@ def verify_diagram(ts):
     i_to_s = tuple(sq.class_of[iq.classes[c][0]] for c in range(len(iq)))
 
     arrows = {
-        # Preorder.check returns exact class rows: every item lies in its
+        # a Preorder's class rows are exact: every item lies in its
         # class, and class(a) <= class(b) exactly when a <= b
         "S1->S1/L": {"surjective": True, "order_preserving": True},
         "S1->S1/J": {"surjective": True, "order_preserving": True},

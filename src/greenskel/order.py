@@ -1,9 +1,9 @@
 """Finite preorders, their partial-order quotients, and maps between them.
 
 A ``Preorder`` is held on its classes: the class of every item plus the
-order of the classes, one bit row per class.  Its item-level rows are
-derived only when read.  ``Preorder.check`` validates the classes and
-their rows and returns them, and ``quotient`` takes them.
+order of the classes, one bit row per class.  Its constructor checks the
+laws on those classes, and ``quotient`` takes them as they are.  Its
+item-level rows are derived only when read.
 
 A relation given by its generating edges, such as a Cayley graph, is
 closed by ``closure_classes``: Tarjan's strongly connected components of
@@ -35,58 +35,28 @@ class Preorder:
 
     items[i] <= items[j] when class ``class_of[i]`` <= class
     ``class_of[j]``: bit d of ``class_rows[c]`` says class c <= class d.
-    Classes are numbered by least member and the items must be distinct.
     Item-level ``rows`` and the index are derived on first use.
+
+    The constructor decides the laws, so every Preorder is a preorder: the
+    items are distinct (else ValueError), and MalformedPreorderError is
+    raised unless the classes are partially ordered.  One pass over
+    ``class_of`` checks that every item lies in a class already met or in
+    the next one, so the classes are numbered by least member, and that
+    every class row has a member.  The class rows are then checked per
+    class: reflexive, with no bit past the last class, transitive, and
+    distinct, since in a reflexive, transitive relation two classes with
+    equal rows are mutually related.  Each class is named in a message by
+    its least member.
     """
 
     def __init__(self, items, class_of, class_rows):
-        self.items = tuple(items)
-        if len(class_of) != len(self.items):
+        self.items = items = tuple(items)
+        if len(class_of) != len(items):
             raise ValueError("class list size does not match carrier size")
-        if len(set(self.items)) != len(self.items):
+        if len(set(items)) != len(items):
             raise ValueError("carrier items must be distinct")
         self.class_of = class_of
         self.class_rows = class_rows
-
-    @cached_property
-    def rows(self):
-        """Bit j of ``rows[i]`` says items[i] <= items[j]: every member of every class above i's."""
-        members = [0] * len(self.class_rows)
-        for i, c in enumerate(self.class_of):
-            members[c] |= 1 << i
-        up = [union_over(row, members) for row in self.class_rows]
-        return [up[c] for c in self.class_of]
-
-    @cached_property
-    def _index(self):
-        return {a: i for i, a in enumerate(self.items)}
-
-    def __len__(self):
-        return len(self.items)
-
-    def index(self, a):
-        return self._index[a]
-
-    def leq_idx(self, i, j):
-        return self.rows[i] >> j & 1 == 1
-
-    def leq(self, a, b):
-        return self.leq_idx(self._index[a], self._index[b])
-
-    def check(self):
-        """Raise MalformedPreorderError unless the classes are partially ordered.
-
-        Returns the class of every item and each class's row: the classes
-        and order of ``quotient``.  One pass over ``class_of`` checks that
-        every item lies in a class already met or in the next one, so the
-        classes are numbered by least member, and that every class row has
-        a member.  The class rows are then checked per class: reflexive,
-        with no bit past the last class, transitive, and distinct, since in
-        a reflexive, transitive relation two classes with equal rows are
-        mutually related.  Each class is named in a message by its least
-        member.
-        """
-        items, class_of, class_rows = self.items, self.class_of, self.class_rows
         count = 0
         for i, c in enumerate(class_of):
             if c == count:
@@ -119,7 +89,31 @@ class Preorder:
             d = first.setdefault(row, c)
             if d != c:
                 raise MalformedPreorderError(f"classes of {rep(d)!r} and {rep(c)!r} are mutually related")
-        return class_of, class_rows
+
+    @cached_property
+    def rows(self):
+        """Bit j of ``rows[i]`` says items[i] <= items[j]: every member of every class above i's."""
+        members = [0] * len(self.class_rows)
+        for i, c in enumerate(self.class_of):
+            members[c] |= 1 << i
+        up = [union_over(row, members) for row in self.class_rows]
+        return [up[c] for c in self.class_of]
+
+    @cached_property
+    def _index(self):
+        return {a: i for i, a in enumerate(self.items)}
+
+    def __len__(self):
+        return len(self.items)
+
+    def index(self, a):
+        return self._index[a]
+
+    def leq_idx(self, i, j):
+        return self.rows[i] >> j & 1 == 1
+
+    def leq(self, a, b):
+        return self.leq_idx(self._index[a], self._index[b])
 
     @cached_property
     def poset(self):
@@ -286,11 +280,10 @@ def _down_count(rows, i):
 def quotient(p):
     """Collapse mutual comparabilities; the classes inherit a partial order.
 
-    The classes and class rows are those ``p.check()`` verified, numbered
-    by least member.  ``Preorder.poset`` keeps the result; this always
-    computes.
+    The classes and class rows are those of ``p``, numbered by least
+    member.  ``Preorder.poset`` keeps the result; this always computes.
     """
-    class_idx, rows = p.check()
+    class_idx, rows = p.class_of, p.class_rows
     members = [[] for _ in rows]
     for a, c in zip(p.items, class_idx):
         members[c].append(a)
@@ -408,8 +401,7 @@ def induce(f, src, dst):
     When either fails, the item-level check names the first offending pair
     and NotAMorphismError carries it.  Only posets planted by hand, whose
     class rows disagree with their items, can fail (1) or (2) with no such
-    pair; that raises AssertionError.  Both quotients are taken first, so
-    a malformed preorder raises MalformedPreorderError before any map law.
+    pair; that raises AssertionError.
     """
     missing = [a for a in src.items if a not in f]
     if missing:
@@ -439,10 +431,10 @@ def induce(f, src, dst):
 def poset_isomorphic(p, q):
     """Search for an order isomorphism p -> q; None if there is none.
 
-    Backtracking over classes, pruned by purely order-theoretic signatures
-    (chain level, cover up-degree, cover down-degree); class sizes are
-    deliberately ignored since corresponding classes need not have equal
-    member counts.
+    Backtracking over classes, without recursion, pruned by purely
+    order-theoretic signatures (chain level, cover up-degree, cover
+    down-degree); class sizes are deliberately ignored since corresponding
+    classes need not have equal member counts.
     """
     np_, nq = len(p), len(q)
     if np_ != nq:
@@ -457,33 +449,32 @@ def poset_isomorphic(p, q):
     order = sorted(range(np_), key=lambda i: (len(candidates[i]), i))
     assignment = [-1] * np_
     used = [False] * nq
-
-    def backtrack(k):
-        if k == np_:
-            return True
+    # depth k assigns class order[k]; tried[k] counts its candidates tried
+    # so far, so a return to depth k resumes after the last one
+    tried = [0] * np_
+    k = 0
+    while 0 <= k < np_:
         i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            good = True
-            for prev in order[:k]:
-                pj = assignment[prev]
-                if (
-                    p.leq_idx(i, prev) != q.leq_idx(j, pj)
-                    or p.leq_idx(prev, i) != q.leq_idx(pj, j)
-                ):
-                    good = False
-                    break
-            if good:
+        if assignment[i] >= 0:  # back from depth k + 1: undo the choice here
+            used[assignment[i]] = False
+            assignment[i] = -1
+        for j in candidates[i][tried[k]:]:
+            tried[k] += 1
+            if not used[j] and all(
+                p.leq_idx(i, prev) == q.leq_idx(j, assignment[prev])
+                and p.leq_idx(prev, i) == q.leq_idx(assignment[prev], j)
+                for prev in order[:k]
+            ):
                 assignment[i] = j
                 used[j] = True
-                if backtrack(k + 1):
-                    return True
-                assignment[i] = -1
-                used[j] = False
-        return False
-
-    if not backtrack(0):
+                break
+        if assignment[i] >= 0:
+            k += 1
+            if k < np_:
+                tried[k] = 0
+        else:
+            k -= 1
+    if k < 0:
         return None
     return {i: assignment[i] for i in range(np_)}
 

@@ -20,8 +20,7 @@ tuples, so ``regrep`` runs them on a representation it never builds.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import StateSubset, apply_mask, per_monoid
 from .order import Preorder, closure_classes
@@ -31,18 +30,14 @@ from .order import Preorder, closure_classes
 class ImageSet:
     """The distinct images of the elements of S^1, plus optional singletons.
 
-    ``subsets`` is the orbit of the full state set, sorted.  ``origin``
-    holds one witness element per image, the first in canonical order (the
-    identity for the full state set); it scans the elements of ``monoid``
-    when first read, the only step that builds them.  Singletons adjoined
-    in extended mode never arise as images and therefore carry no witness;
-    they are listed in ``adjoined``.
+    ``subsets`` is the orbit of the full state set, sorted.  Singletons
+    adjoined in extended mode never arise as images; they are listed in
+    ``adjoined``.
     """
 
     n: int
     subsets: tuple
-    monoid: object = field(repr=False, compare=False)
-    adjoined: frozenset = field(default_factory=frozenset)
+    adjoined: frozenset = frozenset()
 
     def __len__(self):
         return len(self.subsets)
@@ -52,21 +47,6 @@ class ImageSet:
 
     def __contains__(self, P):
         return P in self.subsets
-
-    @functools.cached_property
-    def origin(self):
-        m = self.monoid
-        first = {}
-        for t in m.elements:
-            first.setdefault(frozenset(t.images), t)
-        origin = {StateSubset.full(m.n): m.identity()}
-        for image, t in first.items():
-            origin.setdefault(StateSubset.of(m.n, image), t)
-        return origin
-
-    def witness(self, P):
-        """An element whose image is P, or None for an adjoined singleton."""
-        return self.origin.get(P)
 
 
 def orbit(n, gens):
@@ -106,7 +86,7 @@ def subduction(incl, gens):
 @per_monoid
 def image_set(m):
     """I(X): the orbit of the full set under the generating images."""
-    return ImageSet(m.n, orbit(m.n, m.generating_images()), m)
+    return ImageSet(m.n, orbit(m.n, m.generating_images()))
 
 
 @per_monoid
@@ -117,7 +97,7 @@ def extended_image_set(m):
         s for x in range(m.n) if (s := StateSubset.singleton(m.n, x)) not in base
     )
     subsets = tuple(sorted(set(base.subsets) | adjoined, key=StateSubset.sort_key))
-    return ImageSet(m.n, subsets, m, adjoined)
+    return ImageSet(m.n, subsets, adjoined)
 
 
 @per_monoid

@@ -200,7 +200,7 @@ def image_set_origin(m):
     """Each image of an element of ``m`` with its first witness in canonical order.
 
     The full set comes first, witnessed by the identity.  Takes and returns
-    the library's objects, so that dict order and witnesses compare exactly.
+    the library's objects, so that the subsets compare exactly.
     """
     origin = {StateSubset.full(m.n): m.identity()}
     for t in m.elements:

@@ -342,6 +342,13 @@ class TestMain:
         assert cli.main(["analyze", "--input", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_undecodable_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsg"
+        bad.write_bytes(b"states: 2\ngen: 1 \xff\n")
+        assert cli.main(["analyze", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_non_positive_cap_exit_2(self, cap, capsys):
         # an unusable argument is an input error, not a resource cap

@@ -5,6 +5,7 @@ import pytest
 from greenskel import (
     ConsistencyError,
     NotAMorphismError,
+    Preorder,
     Transformation,
     d_classes,
     eggboxes,
@@ -24,7 +25,7 @@ from greenskel.catalog import (
 )
 
 import naive
-from conftest import assert_green_matches_dense_path
+from conftest import assert_green_matches_dense_path, assert_preorder_laws
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -81,7 +82,7 @@ class TestPreorders:
     @pytest.mark.parametrize("kind", ["R", "L", "J", "H"])
     def test_laws_on_fixtures(self, kind, fixtures):
         for ts in fixtures.values():
-            green_preorder(ts, kind).check()
+            assert_preorder_laws(green_preorder(ts, kind))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -221,6 +222,14 @@ class TestClasses:
         m = full_tmonoid(3)
         m = TransformationSemigroup(m.n, m.generators, m.elements)
         m._memo[(green_preorder.__wrapped__, ("J",))] = green_preorder(m, "L")
+        with pytest.raises(ConsistencyError, match="does not match the J partition"):
+            d_classes(m)
+
+    def test_d_classes_refuse_a_coarser_j_partition(self):
+        # plant one J-class for all of T3: its three D-classes do not join into one
+        m = full_tmonoid(3)
+        m = TransformationSemigroup(m.n, m.generators, m.elements)
+        m._memo[(green_preorder.__wrapped__, ("J",))] = Preorder(m.elements, [0] * len(m), [1])
         with pytest.raises(ConsistencyError, match="does not match the J partition"):
             d_classes(m)
 

@@ -22,7 +22,11 @@ from greenskel import (
 )
 
 import naive
-from conftest import assert_green_matches_dense_path, assert_image_set_matches_scan
+from conftest import (
+    assert_green_matches_dense_path,
+    assert_image_set_matches_scan,
+    assert_preorder_laws,
+)
 from naive import subduction_leq
 
 
@@ -94,9 +98,9 @@ def test_h_is_meet_and_d_is_j(ts):
 def test_preorders_are_preorders(ts):
     m = ts.adjoin_identity()
     for kind in ("R", "L", "J", "H"):
-        green_preorder(m, kind).check()
-    subduction_preorder(m).check()
-    inclusion_preorder(m).check()
+        assert_preorder_laws(green_preorder(m, kind))
+    assert_preorder_laws(subduction_preorder(m))
+    assert_preorder_laws(inclusion_preorder(m))
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,6 +18,7 @@ from .core import (
     StateSubset,
     Transformation,
     TransformationSemigroup,
+    apply_mask,
     multiplier,
 )
 from .green import green_poset, green_preorder
@@ -57,9 +58,6 @@ class TsMorphism:
     @cached_property
     def _verdict(self):
         return _check_laws(self)
-
-    def map_subset(self, P):
-        return StateSubset.of(self.target.n, (self.state_map[x] for x in P))
 
     def then(self, other):
         """Composite morphism: apply self, then other."""
@@ -114,7 +112,10 @@ def _check_laws(m):
     (the identity of the source must map to the identity of the target).
     The homomorphism law is decided on a generating set of the source,
     |S|·|G| products instead of |S|²; the pairwise scan in canonical
-    order runs only to locate the first witness.
+    order runs only to locate the first witness.  Compatibility is one
+    comparison of image tuples per element, s then the state map against
+    the state map then phi(s); the scan over states runs only to name the
+    first witness.
     """
     hit_states = set(m.state_map)
     if len(hit_states) != m.target.n:
@@ -130,11 +131,13 @@ def _check_laws(m):
     witness = _homomorphism_violation(m)
     if witness is not None:
         return False, ("homomorphism", witness)
+    state_map = m.state_map
+    state_map_then = multiplier(state_map)
     for s in m.source.elements:
         fs = m.elem_map[s]
-        for x in range(m.source.n):
-            if m.state_map[s(x)] != fs(m.state_map[x]):
-                return False, ("compatibility", (x, s))
+        if multiplier(s.images)(state_map) != state_map_then(fs.images):
+            x = next(x for x in range(m.source.n) if state_map[s(x)] != fs(state_map[x]))
+            return False, ("compatibility", (x, s))
     if m.source.has_identity:
         one = m.source.identity()
         if not m.elem_map[one].is_identity():
@@ -217,33 +220,55 @@ def quotient_ts(ts, partition):
     Returns the induced semigroup on the blocks and the quotient morphism.
     Distinct elements may induce the same block map, so the element map is
     generally non-injective; the target always acts faithfully.
+
+    Each element s is read on image tuples: s followed by the state map
+    gives the block of every state's image.  s keeps the blocks when that
+    tuple is constant on each block, that is, equal to itself read at each
+    state's block's first member, and its entries at the first members are
+    the block map.  Equal block maps share one ``Transformation``.  The
+    blocks are scanned one by one only to name the first that s splits.
+
+    The discrete partition in its own numbering, (0,), (1,), ..., gives S
+    itself: the target is ``ts``, the element map the identity and the
+    state map ``range(n)``.  The induced semigroup would be a copy of S
+    with equal content, on which the same deterministic code would
+    recompute everything the checks read; on ``ts`` they read what was
+    computed for S^1 already.  ``validate`` and ``functoriality_check``
+    still run every law on that morphism.  Singleton blocks in any other
+    order take the general path.
     """
     if not isinstance(partition, AdmissiblePartition):
         partition = AdmissiblePartition(tuple(tuple(b) for b in partition))
+    blocks = partition.blocks
+    if not all(blocks):
+        raise ValueError("partition has an empty block")
     block_of = partition.block_index()
-    if sorted(block_of) != list(range(ts.n)) or sum(
-        len(b) for b in partition.blocks
-    ) != ts.n:
+    if sorted(block_of) != list(range(ts.n)) or sum(len(b) for b in blocks) != ts.n:
         raise ValueError("partition does not cover the state set exactly")
-
-    def induced(s):
-        images = []
-        for block in partition.blocks:
-            targets = {block_of[s(x)] for x in block}
-            if len(targets) != 1:
-                raise ValueError(
-                    f"partition not admissible: {s!r} splits block {block}"
-                )
-            images.append(targets.pop())
-        return Transformation(tuple(images))
-
-    elem_map = {s: induced(s) for s in ts.elements}
-    target = TransformationSemigroup(
-        len(partition.blocks),
-        [elem_map[g] for g in ts.generators],
-        set(elem_map.values()),
-    )
     state_map = tuple(block_of[x] for x in range(ts.n))
+    if state_map == tuple(range(ts.n)):
+        return ts, TsMorphism(ts, ts, state_map, {s: s for s in ts.elements})
+
+    firsts = tuple(block[0] for block in blocks)
+    at_first = multiplier(tuple(firsts[b] for b in state_map))
+    block_map = multiplier(firsts)
+    induced = {}
+    elem_map = {}
+    for s in ts.elements:
+        lands = multiplier(s.images)(state_map)
+        if at_first(lands) != lands:
+            split = next(block for block in blocks if len({lands[x] for x in block}) != 1)
+            raise ValueError(f"partition not admissible: {s!r} splits block {split}")
+        images = block_map(lands)
+        t = induced.get(images)
+        if t is None:
+            t = induced[images] = Transformation(images)
+        elem_map[s] = t
+    target = TransformationSemigroup(
+        len(blocks),
+        [elem_map[g] for g in ts.generators],
+        induced.values(),
+    )
     return target, TsMorphism(ts, target, state_map, elem_map)
 
 
@@ -347,14 +372,17 @@ def functoriality_check(m):
         entry["item_surjective"] = {phi[s] for s in sm.elements} == set(tm.elements)
         order_maps[kind] = entry
 
-    # (b) state map carries image sets onto image sets
+    # (b) state map carries image sets onto image sets, decided on masks
     ix = image_set(sm)
     iy = image_set(tm)
-    psi = {P: m.map_subset(P) for P in ix.subsets}
-    images_onto = set(psi.values()) == set(iy.subsets)
+    state_map = m.state_map
+    psi_mask = {P: apply_mask(P.mask, state_map) for P in ix.subsets}
+    target_of = {Q.mask: Q for Q in iy.subsets}
+    images_onto = set(psi_mask.values()) == target_of.keys()
     if not images_onto:
         witnesses["images"] = sorted(
-            set(psi.values()) ^ set(iy.subsets), key=StateSubset.sort_key
+            {StateSubset(tm.n, mask) for mask in psi_mask.values()} ^ set(iy.subsets),
+            key=StateSubset.sort_key,
         )
 
     # (c) subduction transports verbatim: if psi(Q^g) = psi(Q)^phi(g) on
@@ -364,9 +392,9 @@ def functoriality_check(m):
     transport = next(
         (
             (Q, g)
-            for Q in ix.subsets
+            for Q, q in psi_mask.items()
             for g in gens
-            if m.map_subset(Q.apply(g)) != psi[Q].apply(phi[g])
+            if apply_mask(apply_mask(Q.mask, g.images), state_map) != apply_mask(q, phi[g].images)
         ),
         None,
     )
@@ -374,9 +402,11 @@ def functoriality_check(m):
         witnesses["transport"] = transport
 
     # the target relation and the skeleton-level node map: psi induces a
-    # map of the subduction preorders, or the first pair it breaks
+    # map of the subduction preorders, or the first pair it breaks; onto
+    # I(Y), psi takes its values among I(Y)'s own subsets
     skeleton = None
     if images_onto:
+        psi = {P: target_of[mask] for P, mask in psi_mask.items()}
         try:
             skeleton = induce(psi, subduction_preorder(sm), subduction_preorder(tm))
         except NotAMorphismError as err:

@@ -244,12 +244,18 @@ class ClassPoset:
         return self.rows[ci] & ~(1 << ci)
 
     def levels(self):
-        """Longest-chain height of every class above the minimal ones."""
-        order = sorted(range(len(self.classes)), key=lambda i: _down_count(self.rows, i))
+        """Longest-chain height of every class above the minimal ones.
+
+        A class strictly below another has a strictly larger up-set, so
+        classes by decreasing up-set size come in a topological order; one
+        pass in that order takes each level from the lower covers' levels.
+        """
+        lower = [[] for _ in self.classes]
+        for lo, hi in self.covers:
+            lower[hi].append(lo)
         level = [0] * len(self.classes)
-        for i in order:
-            below = [level[lo] + 1 for lo, hi in self.covers if hi == i]
-            level[i] = max(below, default=0)
+        for i in sorted(range(len(self.classes)), key=lambda i: -self.rows[i].bit_count()):
+            level[i] = max([level[lo] + 1 for lo in lower[i]], default=0)
         return level
 
     def maximal(self):
@@ -271,10 +277,6 @@ def transpose(rows):
             cols[low.bit_length() - 1] |= 1 << i
             rest ^= low
     return cols
-
-
-def _down_count(rows, i):
-    return sum(1 for row in rows if row >> i & 1)
 
 
 def quotient(p):

@@ -18,6 +18,7 @@ from greenskel.core import (
 )
 from greenskel.green import green_preorder
 from greenskel.maps import im_bar, im_bar_S
+from greenskel.morphisms import TsMorphism
 from greenskel.order import MalformedPreorderError, Preorder, induce
 from greenskel.skeleton import image_set, subduction_preorder
 
@@ -549,6 +550,22 @@ def transitive(pairs, items):
     )
 
 
+def levels(poset):
+    """Longest-chain height of every class, classes taken by down-set size.
+
+    The down-set of each class is counted over every class row, and each
+    class scans every cover for the ones below it: quadratic, the way the
+    definition reads.
+    """
+    n = len(poset.classes)
+    order = sorted(range(n), key=lambda i: sum(1 for row in poset.rows if row >> i & 1))
+    level = [0] * n
+    for i in order:
+        below = [level[lo] + 1 for lo, hi in poset.covers if hi == i]
+        level[i] = max(below, default=0)
+    return level
+
+
 def reachable(rows, i):
     """Reflexive-transitive reachability by plain BFS over index lists."""
     seen = {i}
@@ -785,3 +802,61 @@ def validate(m):
     if m.source.has_identity and not m.elem_map[m.source.identity()].is_identity():
         return False, ("identity_condition", m.source.identity())
     return True, None
+
+
+def quotient_by_scan(ts, blocks):
+    """``quotient_ts`` block by block: every block's image blocks, as a set.
+
+    Takes the library's objects, so that the target, the element map and
+    the error messages compare exactly.  The target is always a new
+    semigroup built by the validating constructor, also for the discrete
+    partition.
+    """
+    blocks = tuple(tuple(b) for b in blocks)
+    block_of = {x: b for b, block in enumerate(blocks) for x in block}
+    if sorted(block_of) != list(range(ts.n)) or sum(len(b) for b in blocks) != ts.n:
+        raise ValueError("partition does not cover the state set exactly")
+
+    def induced(s):
+        images = []
+        for block in blocks:
+            targets = {block_of[s(x)] for x in block}
+            if len(targets) != 1:
+                raise ValueError(f"partition not admissible: {s!r} splits block {block}")
+            images.append(targets.pop())
+        return Transformation(tuple(images))
+
+    elem_map = {s: induced(s) for s in ts.elements}
+    target = TransformationSemigroup(
+        len(blocks), [elem_map[g] for g in ts.generators], set(elem_map.values())
+    )
+    state_map = tuple(block_of[x] for x in range(ts.n))
+    return target, TsMorphism(ts, target, state_map, elem_map)
+
+
+def image_transport(m):
+    """The image-set and transport witnesses of a functoriality check, on subsets.
+
+    psi is applied to ``StateSubset`` objects, subset by subset, and the
+    orbit edges (Q, g) of I(X) are scanned in order.  Returns the sorted
+    symmetric difference of psi(I(X)) and I(Y) (None when psi is onto)
+    and the first edge with psi(Q^g) != psi(Q)^phi(g) (or None).  It
+    reads the morphism as given, valid or not, and takes the library's
+    objects, so that witnesses compare exactly.
+    """
+    sm, tm = m.source.adjoin_identity(), m.target.adjoin_identity()
+    phi = dict(m.elem_map)
+    phi.setdefault(sm.identity(), tm.identity())
+
+    def psi(P):
+        return StateSubset.of(m.target.n, (m.state_map[x] for x in P))
+
+    ix, iy = image_set(sm).subsets, image_set(tm).subsets
+    missed = {psi(P) for P in ix} ^ set(iy)
+    images = sorted(missed, key=StateSubset.sort_key) if missed else None
+    gens = [Transformation(g) for g in sm.generating_images()]
+    transport = next(
+        ((Q, g) for Q in ix for g in gens if psi(Q.apply(g)) != psi(Q).apply(phi[g])),
+        None,
+    )
+    return images, transport

@@ -122,6 +122,26 @@ class TestValidate:
         assert isinstance(m.state_map, tuple) and m == q
         assert validate(m) == (True, None)
 
+    def test_discrete_quotient_with_planted_element_map_fails(self, fixtures):
+        for name, ts in fixtures.items():
+            if len(ts) < 2:
+                continue
+            _, q = quotient_ts(ts, [(x,) for x in range(ts.n)])
+            a, b = ts.elements[-2:]
+            planted = dict(q.elem_map)
+            planted[a], planted[b] = b, a
+            bad = TsMorphism(ts, ts, q.state_map, planted)
+            ok, violation = validate(bad)
+            assert not ok and (ok, violation) == naive.validate(bad), name
+
+    def test_automorphism_fails_compatibility_on_identity_states(self):
+        # any bijection of a right-zero semigroup is a homomorphism, so only
+        # compatibility with the identity state map can refuse it
+        ts = right_zero(3)
+        c0, c1, c2 = ts.elements
+        bad = TsMorphism(ts, ts, (0, 1, 2), {c0: c1, c1: c2, c2: c0})
+        assert validate(bad) == naive.validate(bad) == (False, ("compatibility", (0, c0)))
+
     def test_state_map_length_checked_up_front(self):
         ts = chain_collapse()
         with pytest.raises(ValueError):
@@ -272,6 +292,114 @@ class TestFunctorialityDifferential:
         self.assert_matches_oracle(m)
 
 
+def assert_quotient_matches_scan(ts, blocks):
+    """quotient_ts against the per-block scan: equal target and maps, or equal error text.
+
+    Returns "ok" or "error".
+    """
+    try:
+        want_target, want = naive.quotient_by_scan(ts, blocks)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            quotient_ts(ts, blocks)
+        assert str(got.value) == str(err), blocks
+        return "error"
+    target, q = quotient_ts(ts, blocks)
+    assert (target.n, target.generators, target.elements) == (
+        want_target.n,
+        want_target.generators,
+        want_target.elements,
+    ), blocks
+    assert target.generating_images() == want_target.generating_images()
+    assert q.state_map == want.state_map and dict(q.elem_map) == dict(want.elem_map), blocks
+    return "ok"
+
+
+def every_numbering(n):
+    """Every set partition of range(n), as the brute force lists it and normalized."""
+    for part in naive.all_partitions(range(n)):
+        yield part
+        yield naive.normalize_partition(part)
+
+
+def planted_morphism(ts, blocks, rng):
+    """A quotient morphism of ts with its target states permuted, and maybe two images swapped.
+
+    Both maps stay onto and into the target, so ``validate`` reaches the
+    homomorphism law, and when the element map is left alone, compatibility.
+    """
+    _, q = quotient_ts(ts, blocks)
+    perm = list(range(q.target.n))
+    rng.shuffle(perm)
+    elem_map = dict(q.elem_map)
+    if rng.random() < 0.3 and len(ts) > 1:
+        a, b = rng.sample(ts.elements, 2)
+        elem_map[a], elem_map[b] = elem_map[b], elem_map[a]
+    return TsMorphism(ts, q.target, tuple(perm[y] for y in q.state_map), elem_map)
+
+
+def assert_transport_matches_scan(m):
+    """functoriality_check past validation against the subset-by-subset scan.
+
+    Returns the names of the witnesses found.
+    """
+    images, transport = naive.image_transport(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(morphisms, "validate", lambda m: (True, None))
+        report = functoriality_check(m)
+    assert report.witnesses.get("images") == images
+    assert report.witnesses.get("transport") == transport
+    assert report.images_onto == (images is None)
+    assert report.subduction["verbatim"] == (transport is None)
+    return {name for name in ("images", "transport") if name in report.witnesses}
+
+
+class TestQuotientDifferential:
+    """The tuple path of quotient_ts, compatibility and transport against the scans."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_every_partition_matches_scan(self, rng):
+        ts = random_semigroup(rng, cap=60)
+        assume(ts is not None)
+        for blocks in every_numbering(ts.n):
+            assert_quotient_matches_scan(ts, blocks)
+
+    def test_corpus_matches_scan(self, fixtures):
+        seen = set()
+        for ts in sample_semigroups(seed=11, count=30) + list(fixtures.values()):
+            if ts.n > 4:
+                continue
+            for blocks in every_numbering(ts.n):
+                seen.add(assert_quotient_matches_scan(ts, blocks))
+        assert seen == {"ok", "error"}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_planted_failures_match_scan(self, rng):
+        ts = random_semigroup(rng, cap=60)
+        assume(ts is not None)
+        blocks = rng.choice(admissible_partitions(ts)).blocks
+        m = planted_morphism(ts, blocks, rng)
+        assert validate(m) == naive.validate(m)
+        assert_transport_matches_scan(m)
+
+    def test_planted_corpus_meets_every_witness(self, fixtures):
+        rng = random.Random(13)
+        verdicts, witnesses = set(), set()
+        for ts in sample_semigroups(seed=13, count=40) + list(fixtures.values()):
+            if ts.n > 5:
+                continue
+            for p in admissible_partitions(ts):
+                m = planted_morphism(ts, p.blocks, rng)
+                ok, violation = validate(m)
+                assert (ok, violation) == naive.validate(m)
+                verdicts.add(violation[0] if violation else "ok")
+                witnesses |= assert_transport_matches_scan(m)
+        assert {"ok", "homomorphism", "compatibility"} <= verdicts
+        assert witnesses == {"images", "transport"}
+
+
 class TestPartitions:
     def test_trivial_two_states(self):
         parts = admissible_partitions(trivial(2))
@@ -347,6 +475,32 @@ class TestQuotient:
         target, q = quotient_ts(ts, [(0,), (1,), (2,)])
         assert q.state_map == (0, 1, 2)
         assert sorted(t.images for t in target) == sorted(t.images for t in ts)
+
+    def test_discrete_target_is_source(self, fixtures):
+        for name, ts in fixtures.items():
+            target, q = quotient_ts(ts, [(x,) for x in range(ts.n)])
+            assert target is ts and q.target is ts, name
+            assert q.state_map == tuple(range(ts.n))
+            assert all(q.elem_map[s] is s for s in ts.elements)
+            assert validate(q) == naive.validate(q) == (True, None)
+            report = functoriality_check(q)
+            assert report.passed and report.witnesses == {}, name
+
+    def test_permuted_singletons_take_the_general_path(self):
+        ts = chain_collapse()
+        target, q = quotient_ts(ts, [(1,), (0,), (2,)])
+        want, want_q = naive.quotient_by_scan(ts, [(1,), (0,), (2,)])
+        assert target is not ts and q.state_map == (1, 0, 2)
+        assert target.elements == want.elements and dict(q.elem_map) == dict(want_q.elem_map)
+        assert validate(q) == (True, None) and functoriality_check(q).passed
+
+    def test_rejects_empty_block(self):
+        ts = trivial(1)
+        with pytest.raises(ValueError) as err:
+            quotient_ts(ts, [(0,), ()])
+        assert str(err.value) == "partition has an empty block"
+        with pytest.raises(ValueError, match="empty block"):
+            quotient_ts(chain_collapse(), [(), (0, 1, 2)])
 
     def test_rejects_non_cover(self):
         ts = chain_collapse()

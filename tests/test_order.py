@@ -356,6 +356,14 @@ class TestQuotient:
         assert q.minimal() == (0,) and q.maximal() == (3,)
         assert q.covers == ((0, 1), (0, 2), (1, 3), (2, 3))
 
+    @given(digraphs(max_n=14))
+    @settings(max_examples=300)
+    @example([0b10, 0b01])
+    @example([0b0110, 0b1000, 0b1000, 0])
+    def test_levels_match_naive(self, rows):
+        q = quotient(closure(rows))
+        assert q.levels() == naive.levels(q)
+
     @given(quotient_inputs())
     @settings(max_examples=400)
     @example([0b101, 0b110, 0b110])

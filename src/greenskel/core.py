@@ -11,6 +11,7 @@ import bisect
 import functools
 import inspect
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 
 
@@ -37,13 +38,40 @@ class ResourceLimitError(RuntimeError):
 def multiplier(u):
     """The function taking an image tuple g to that of u*g (first u, then g).
 
-    This is the one tuple product of the package: bound once to u, it is
-    applied to every g that u is multiplied by.
+    This is the tuple product: bound once to u, it is applied to every g
+    that u is multiplied by.  A semigroup's own set is closed on keys
+    instead (``_times``).
     """
     if len(u) == 1:
         x = u[0]
         return lambda g: (g[x],)
     return itemgetter(*u)
+
+
+# products are taken in chunks of at most this many left factors
+_CHUNK = 4096
+
+
+def _key_kind(n):
+    """The key of an image tuple in a semigroup's set on n states.
+
+    Up to 256 states a key is ``bytes(u)``, whose bytes sort, compare and
+    hash as fast as a string; above that a byte cannot hold a state and the
+    key is the tuple itself.  Either way ``tuple(key)`` is the image tuple.
+    """
+    return bytes if n <= 256 else tuple
+
+
+def _times(n, g):
+    """The function taking an iterable of keys of u to an iterable of the keys of u*g.
+
+    On byte keys, ``u.translate(table)[x] = g[u[x]]`` when the table's first
+    n bytes are g, so each product is one C-level pass.
+    """
+    if _key_kind(n) is bytes:
+        table = bytes(g) + bytes(256 - n)
+        return lambda keys: map(bytes.translate, keys, repeat(table))
+    return lambda keys: [multiplier(u)(g) for u in keys]
 
 
 @dataclass(frozen=True, repr=False, slots=True)
@@ -219,14 +247,17 @@ class TransformationSemigroup:
     ``elements`` is kept sorted lexicographically by image tuple; that order
     is the canonical element numbering used for all reports and diagrams.
 
-    The state is the set of the elements' image tuples, which ``len``,
-    ``in``, ``has_identity`` and ``adjoin_identity`` read.  The constructor
+    The state is the set of the elements' keys (``_key_kind``: the bytes of
+    the image tuple up to 256 states, the tuple above), which ``len``,
+    ``in``, ``has_identity``, ``adjoin_identity`` and the search of
+    ``generating_images`` read.  The set is never read in its iteration
+    order, which follows the per-process hash of bytes.  The constructor
     removes duplicates, sorts, checks that every map acts on n states,
     keeps ``elements`` and decides closure: every element is a product of
     ``generating_images()``, so the set is closed exactly when s*g lies in
     it for every element s and every g of that list, and the first missing
     product raises ``NotClosedError``.  ``generate`` keeps its closure's
-    set, whose tuples are products of checked generators, and builds
+    set, whose keys are products of checked generators, and builds
     ``elements`` and the index on first use, as does its S^1.  Every
     instance is therefore closed.
     """
@@ -239,21 +270,27 @@ class TransformationSemigroup:
         for t in generators + elements:
             if t.n != n:
                 raise DomainMismatchError(f"element {t} does not act on {n} states")
-        self._setup(n, generators, {t.images for t in elements})
+        key = _key_kind(n)
+        keys = [key(t.images) for t in elements]
+        self._setup(n, generators, set(keys))
         self.elements = elements
         gens = self.generating_images()
+        if all(self._images.issuperset(_times(n, g)(keys)) for g in gens):
+            return
+        # not closed: name the first missing (s, g), s in element order, then g in list order
         for s in elements:
             times_s = multiplier(s.images)
             for g in gens:
-                if times_s(g) not in self._images:
+                if key(times_s(g)) not in self._images:
                     raise NotClosedError(s, Transformation._product(g))
 
     def _setup(self, n, generators, images, gens=None):
-        """State on n states: the image tuples, and ``gens`` as ``_gens``."""
+        """State on n states: the keys of the elements, and ``gens`` as ``_gens``."""
         self.n = n
         self.generators = generators
+        self._key = _key_kind(n)
         self._images = images
-        self.has_identity = tuple(range(n)) in images
+        self.has_identity = self._key(range(n)) in images
         self._one = None
         self._gens = gens
         self._from = None
@@ -267,7 +304,8 @@ class TransformationSemigroup:
         that semigroup's elements, so the two share their element objects.
         """
         if self._from is None:
-            return tuple(map(Transformation._product, sorted(self._images)))
+            # byte strings sort as their image tuples do
+            return tuple(map(Transformation._product, map(tuple, sorted(self._images))))
         base, one = self._from
         at = bisect.bisect(base.elements, one.images, key=lambda t: t.images)
         return base.elements[:at] + (one,) + base.elements[at:]
@@ -280,10 +318,12 @@ class TransformationSemigroup:
     def generate(cls, n, generators, max_elements=1_000_000):
         """Close the generators under composition.
 
-        Breadth first: products are taken in order of discovery of the left
-        factor, with generator index breaking ties, so the discovery order
-        (and everything downstream) is deterministic.  Only the set of image
-        tuples is kept; ``elements`` is built from it when first read.
+        Breadth first on keys, in chunks of at most 4,096 left factors: each
+        chunk is multiplied by each generator in one pass, and the products
+        not seen yet join the next level.  The cap is checked after every
+        chunk, so the set never holds more than ``max_elements`` plus the
+        products of one chunk.  Only the set of keys is kept; ``elements`` is
+        built from it when first read.
         """
         gens = tuple(dict.fromkeys(generators))
         if not gens:
@@ -297,22 +337,22 @@ class TransformationSemigroup:
                 f"element cap {max_elements} exceeded by {len(gens)} distinct generators",
             )
         gen_images = tuple(g.images for g in gens)
-        seen = set(gen_images)
-        frontier = list(gen_images)
+        times = [_times(n, g) for g in gen_images]
+        frontier = list(map(_key_kind(n), gen_images))
+        seen = set(frontier)
         while frontier:
             fresh = []
-            for u in frontier:
-                times_u = multiplier(u)
-                for g in gen_images:
-                    w = times_u(g)
-                    if w not in seen:
-                        if len(seen) >= max_elements:
-                            raise ResourceLimitError(
-                                "enumerate",
-                                f"element cap {max_elements} exceeded while closing generators",
-                            )
-                        seen.add(w)
-                        fresh.append(w)
+            for at in range(0, len(frontier), _CHUNK):
+                chunk = frontier[at : at + _CHUNK]
+                for times_g in times:
+                    new = set(times_g(chunk)).difference(seen)
+                    seen.update(new)
+                    fresh.extend(new)
+                if len(seen) > max_elements:
+                    raise ResourceLimitError(
+                        "enumerate",
+                        f"element cap {max_elements} exceeded while closing generators",
+                    )
             frontier = fresh
         ts = cls.__new__(cls)
         ts._setup(n, gens, seen, gen_images)
@@ -325,7 +365,7 @@ class TransformationSemigroup:
         return iter(self.elements)
 
     def __contains__(self, t):
-        return t.images in self._images
+        return len(t.images) == self.n and self._key(t.images) in self._images
 
     def index(self, t):
         """Canonical number of an element."""
@@ -337,7 +377,7 @@ class TransformationSemigroup:
     def adjoin_identity(self):
         """S^1: this semigroup if the identity is present, else identity adjoined.
 
-        S^1's set is this one's plus the identity tuple.  Its elements, built
+        S^1's set is this one's plus the identity's key.  Its elements, built
         on first use, are this semigroup's with the identity inserted.
         """
         if self.has_identity:
@@ -351,7 +391,7 @@ class TransformationSemigroup:
             S1._setup(
                 self.n,
                 tuple(dict.fromkeys(self.generators + (one,))),
-                self._images | {one.images},
+                self._images | {self._key(one.images)},
                 gens,
             )
             S1._from = (self, one)
@@ -373,24 +413,27 @@ class TransformationSemigroup:
         """
         if self._gens is not None:
             return list(self._gens)
-        members = self._images
+        n, key, members = self.n, self._key, self._images
         gens = []
+        times = []
         reached = set()
 
         def join(h):
             gens.append(h)
-            frontier = [h] + [multiplier(u)(h) for u in reached]
+            times.append(_times(n, h))
+            frontier = {key(h), *times[-1](reached)}
             while frontier:
-                fresh = [w for w in dict.fromkeys(frontier) if w in members and w not in reached]
+                fresh = frontier.intersection(members).difference(reached)
                 reached.update(fresh)
-                frontier = [w for u in fresh for w in map(multiplier(u), gens)]
+                frontier = set().union(*[times_g(fresh) for times_g in times])
 
         for g in self.generators:
-            if g.images in members:
+            if g in self:
                 join(g.images)
+        # byte strings sort, and count distinct entries, as their tuples do
         for h in sorted(members - reached, key=lambda u: (-len(set(u)), u)):
             if h not in reached:
-                join(h)
+                join(tuple(h))
         self._gens = tuple(gens)
         return gens
 

@@ -282,6 +282,41 @@ def is_closed(elements):
     return all(s * t in els for s in els for t in els)
 
 
+def closure_scan(generators, elements):
+    """The validating constructor's generating set and first missing product, on tuples.
+
+    ``elements`` are the maps in canonical order.  The generating set is
+    searched as the constructor does, one image tuple product at a time:
+    the declared generators in the set join first, then each element not
+    yet reached, by decreasing rank, then in canonical order.  Returns the
+    list of generator image tuples and the first (s, g), s in element order
+    and then g in list order, with s*g outside the set, or None.
+    """
+    members = {t.images for t in elements}
+    gens = []
+    reached = set()
+
+    def join(h):
+        gens.append(h)
+        frontier = [h] + [comp(u, h) for u in reached]
+        while frontier:
+            fresh = {w for w in frontier if w in members and w not in reached}
+            reached.update(fresh)
+            frontier = [comp(u, g) for u in fresh for g in gens]
+
+    for g in dict.fromkeys(generators):
+        if g.images in members:
+            join(g.images)
+    for h in sorted(members - reached, key=lambda u: (-len(set(u)), u)):
+        if h not in reached:
+            join(h)
+    for s in elements:
+        for g in gens:
+            if comp(s.images, g) not in members:
+                return gens, (s, Transformation(g))
+    return gens, None
+
+
 @dataclass(frozen=True)
 class SubductionWitness:
     """An element s with P contained in Q^s."""

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -445,3 +446,18 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1] and b"verification: PASS" in runs[0]
+
+    def test_output_ignores_hash_seed(self, tmp_path):
+        # the element set is keyed by bytes, whose hash is salted per process
+        t5 = tmp_path / "t5.tsg"
+        t5.write_text("states: 5\ngen: 2 3 4 5 1\ngen: 2 1 3 4 5\ngen: 1 1 3 4 5\n")
+        for path in (CHAIN, str(t5)):
+            for args in (["analyze"], ["dot", "--which", "skeleton"]):
+                cmd = [sys.executable, "-m", "greenskel.cli", *args, "--input", path]
+                outs = [
+                    subprocess.run(
+                        cmd, capture_output=True, check=True, env={**os.environ, "PYTHONHASHSEED": seed}
+                    ).stdout
+                    for seed in ("0", "12345")
+                ]
+                assert outs[0] == outs[1] and outs[0]

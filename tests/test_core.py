@@ -227,6 +227,55 @@ class TestGenerate:
         expected = {(1, 3, 3), (3, 1, 3), (3, 3, 3), (1, 2, 3)}
         assert {t.one_based for t in m} == expected
 
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 300])
+    def test_key_kind_edges(self, n):
+        # byte keys up to 256 states (n = 256 pads the table with nothing),
+        # image tuples as keys above; the closures are known in closed form
+        shift = tuple((x + 1) % n for x in range(n))
+        cycle = {tuple((x + k) % n for x in range(n)) for k in range(n)}
+        constants = {(x,) * n for x in range(n)}
+        climb = tuple(min(x + 1, n - 1) for x in range(n))
+        climbs = {tuple(min(x + k, n - 1) for x in range(n)) for k in range(1, max(n, 2))}
+        for images, want, has_identity in (
+            ([shift, (0,) * n], cycle | constants, True),
+            ([climb], climbs, n == 1),
+        ):
+            gens = [Transformation(g) for g in images]
+            ts = TransformationSemigroup.generate(n, gens)
+            assert [t.images for t in ts.elements] == sorted(want)
+            assert len(ts) == len(want) and ts.has_identity == has_identity
+            assert Transformation((0,)) not in ts or n == 1
+            if n >= 3:
+                assert Transformation((1, 0) + tuple(range(2, n))) not in ts
+            m = ts.adjoin_identity()
+            assert [t.images for t in m.elements] == sorted(naive.with_identity(want, n))
+            built = TransformationSemigroup(n, gens, ts.elements)
+            assert built.elements == ts.elements
+            assert built.generating_images() == ts.generating_images()
+            assert naive.closure_scan(gens, ts.elements) == (ts.generating_images(), None)
+            for dropped in sorted(want)[1:3]:
+                chosen = [t for t in ts.elements if t.images != dropped]
+                gens_scanned, pair = naive.closure_scan(gens, chosen)
+                if pair is None:
+                    built = TransformationSemigroup(n, gens, chosen)
+                    assert built.generating_images() == gens_scanned
+                    continue
+                with pytest.raises(NotClosedError) as err:
+                    TransformationSemigroup(n, gens, chosen)
+                assert err.value.pair == pair
+
+    def test_element_cap_boundary_across_chunks(self):
+        # full T6 takes more than one chunk of products and more than one level
+        gens = [
+            Transformation(g)
+            for g in ((1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5), (0, 0, 2, 3, 4, 5))
+        ]
+        assert len(TransformationSemigroup.generate(6, gens, max_elements=46656)) == 46656
+        with pytest.raises(ResourceLimitError) as info:
+            TransformationSemigroup.generate(6, gens, max_elements=46655)
+        assert info.value.stage == "enumerate"
+        assert str(info.value) == "element cap 46655 exceeded while closing generators"
+
     def test_nonlattice_closure_count(self):
         ts = nonlattice()
         assert len(ts) == 31
@@ -238,7 +287,10 @@ class TestGenerate:
     def test_closure_matches_naive_oracle(self, gens):
         n = gens[0].n
         ts = TransformationSemigroup.generate(n, gens, max_elements=300)
-        assert {t.images for t in ts} == naive.close([g.images for g in gens])
+        want = naive.close([g.images for g in gens])
+        assert [t.images for t in ts.elements] == sorted(want)
+        m = ts.adjoin_identity()
+        assert [t.images for t in m.elements] == sorted(naive.with_identity(want, n))
         assert naive.is_closed(ts)
         assert_stored_generating_set_is_searched(ts)
 
@@ -408,13 +460,17 @@ class TestClosureDecided:
         chosen = [t for t, k in zip(ts.elements, keep) if k]
         assume(chosen)
         declared = data.draw(st.lists(st.sampled_from(ts.elements), max_size=3))
+        gens, pair = naive.closure_scan(declared, chosen)
         if naive.is_closed(chosen):
+            assert pair is None
             built = TransformationSemigroup(n, declared, chosen)
             assert built.elements == tuple(chosen)
+            assert built.generating_images() == gens
             assert naive.close(built.generating_images()) == {t.images for t in chosen}
             return
         with pytest.raises(NotClosedError) as err:
             TransformationSemigroup(n, declared, chosen)
+        assert err.value.pair == pair
         s, g = err.value.pair
         assert s in chosen and g in chosen and s * g not in chosen
         # every earlier element was checked against g and passed

@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .core import ResourceLimitError, StateSubset, Transformation, TransformationSemigroup
 from .green import ConsistencyError, d_classes, eggboxes, green_poset
@@ -172,6 +173,15 @@ class AnalysisBundle:
     corollary: object = None
     functorial: list = None
 
+    @cached_property
+    def lattice(self):
+        """``lattice_violation`` of the skeleton, decided on first read and kept.
+
+        None when the skeleton is a lattice.  A run that only draws the
+        skeleton never reads it.
+        """
+        return lattice_violation(self.skeleton)
+
     @property
     def passed(self):
         if self.diagram is not None and not self.diagram.passed:
@@ -257,7 +267,7 @@ def report_text(bundle):
         lines.append(f"skeleton classes: {len(bundle.skeleton)}")
         sizes = [len(cls) for cls in bundle.skeleton.classes]
         lines.append("skeleton class sizes: " + " ".join(str(s) for s in sizes))
-        violation = lattice_violation(bundle.skeleton)
+        violation = bundle.lattice
         if violation is None:
             lines.append("skeleton lattice: yes")
         else:
@@ -329,7 +339,7 @@ def report_data(bundle):
     if bundle.skeleton is not None:
         data["counts"]["image_sets"] = len(bundle.images)
         data["counts"]["skeleton_classes"] = len(bundle.skeleton)
-        violation = lattice_violation(bundle.skeleton)
+        violation = bundle.lattice
         data["skeleton"] = _poset_data(bundle.skeleton, repr)
         data["skeleton"]["adjoined"] = sorted(repr(p) for p in bundle.images.adjoined)
         data["skeleton"]["lattice"] = violation is None

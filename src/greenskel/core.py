@@ -74,6 +74,20 @@ def _times(n, g):
     return lambda keys: [multiplier(u)(g) for u in keys]
 
 
+def _left_times(n, gens):
+    """The function taking an iterable of keys of u to, per u, the keys of g*u for g in ``gens``.
+
+    On byte keys, g*u is g's key translated through u's table (u's bytes,
+    padded to 256): one C-level pass per product.
+    """
+    if _key_kind(n) is bytes:
+        pad = bytes(256 - n)
+        gen_keys = [bytes(g) for g in gens]
+        return lambda keys: ([g.translate(u + pad) for g in gen_keys] for u in keys)
+    times = [multiplier(g) for g in gens]
+    return lambda keys: ([times_g(u) for times_g in times] for u in keys)
+
+
 @dataclass(frozen=True, repr=False, slots=True)
 class Transformation:
     """A total map on {0..n-1}, stored as the tuple of images.
@@ -108,9 +122,9 @@ class Transformation:
     def _product(cls, images):
         """A map from the image tuple of a product of checked maps, unchecked."""
         t = object.__new__(cls)
-        object.__setattr__(t, "images", images)
-        object.__setattr__(t, "_hash", hash((images,)))
-        object.__setattr__(t, "_repr", None)
+        _set_images(t, images)
+        _set_hash(t, hash((images,)))
+        _set_repr(t, None)
         return t
 
     def __hash__(self):
@@ -157,6 +171,13 @@ class Transformation:
         return self._repr
 
     __str__ = __repr__
+
+
+# the slots' own setters: a product sets its fields through them, past the
+# frozen __setattr__, at half the cost of object.__setattr__ by name
+_set_images, _set_hash, _set_repr = (
+    Transformation.__dict__[name].__set__ for name in ("images", "_hash", "_repr")
+)
 
 
 @dataclass(frozen=True, repr=False)
@@ -253,13 +274,13 @@ class TransformationSemigroup:
     ``generating_images`` read.  The set is never read in its iteration
     order, which follows the per-process hash of bytes.  The constructor
     removes duplicates, sorts, checks that every map acts on n states,
-    keeps ``elements`` and decides closure: every element is a product of
-    ``generating_images()``, so the set is closed exactly when s*g lies in
-    it for every element s and every g of that list, and the first missing
-    product raises ``NotClosedError``.  ``generate`` keeps its closure's
-    set, whose keys are products of checked generators, and builds
-    ``elements`` and the index on first use, as does its S^1.  Every
-    instance is therefore closed.
+    keeps ``elements`` and their ``keys`` and decides closure: every
+    element is a product of ``generating_images()``, so the set is closed
+    exactly when s*g lies in it for every element s and every g of that
+    list, and the first missing product raises ``NotClosedError``.
+    ``generate`` keeps its closure's set, whose keys are products of
+    checked generators, and builds ``keys``, ``elements`` and the index on
+    first use, as does its S^1.  Every instance is therefore closed.
     """
 
     def __init__(self, n, generators, elements):
@@ -274,6 +295,7 @@ class TransformationSemigroup:
         keys = [key(t.images) for t in elements]
         self._setup(n, generators, set(keys))
         self.elements = elements
+        self.keys = keys
         gens = self.generating_images()
         if all(self._images.issuperset(_times(n, g)(keys)) for g in gens):
             return
@@ -304,11 +326,19 @@ class TransformationSemigroup:
         that semigroup's elements, so the two share their element objects.
         """
         if self._from is None:
-            # byte strings sort as their image tuples do
-            return tuple(map(Transformation._product, map(tuple, sorted(self._images))))
+            return tuple(map(Transformation._product, map(tuple, self.keys)))
         base, one = self._from
         at = bisect.bisect(base.elements, one.images, key=lambda t: t.images)
         return base.elements[:at] + (one,) + base.elements[at:]
+
+    @functools.cached_property
+    def keys(self):
+        """The elements' keys in canonical order, built on first use.
+
+        Byte strings sort as their image tuples do, so ``keys[i]`` is the key
+        of ``elements[i]``.
+        """
+        return sorted(self._images)
 
     @functools.cached_property
     def _index(self):

@@ -6,18 +6,21 @@ the left one s -> g*s.  Then s <=_R t exactly when t reaches s in the right
 graph (s lies in t*S^1), <=_L is reachability in the left graph and <=_J in
 their union.  The R-, L- and J-classes are the strongly connected
 components of those graphs (Froidure and Pin, 1997), so each preorder is
-kept on its classes: Tarjan over the graphs' successor tuples, built by
-|S^1|*|G| products, then the order of the classes as bit rows of C bits,
-not N.  H-classes are the (L-class, R-class) pairs, and D-classes the
-components of the graph joining each L-class to the R-classes it meets.
-No relation is stored per pair of elements.
+kept on its classes: Tarjan over the graphs' successor tuples, then the
+order of the classes as bit rows of C bits, not N.  The edges are read off
+the elements' keys: one ``bytes.translate`` pass per generator for s*g,
+and g's key translated through s's table for g*s, so no element object is
+built for them.  H-classes are the (L-class, R-class) pairs, and D-classes
+the components of the graph joining each L-class to the R-classes it
+meets.  Egg-boxes are laid out from the class lists by element index.  No
+relation is stored per pair of elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import multiplier, per_monoid
+from .core import _left_times, _times, multiplier, per_monoid
 from .order import Preorder, closure_classes, strongly_connected, transpose, union_over
 
 
@@ -30,13 +33,15 @@ def _cayley_graphs(m):
     """The right and left Cayley graphs as successor tuples on element indices.
 
     ``right[i]`` lists the index of s_i*g and ``left[i]`` that of g*s_i,
-    for g in the generating images: one pass of products.
+    for g in the generating images, all computed on the sorted keys: one
+    ``_times`` pass per generator for the right edges, and one
+    ``_left_times`` pass for the left ones.
     """
-    index = {t.images: i for i, t in enumerate(m.elements)}
-    images = list(index)
+    n, keys = m.n, m.keys
+    at = {u: i for i, u in enumerate(keys)}.__getitem__
     gens = m.generating_images()
-    right = [tuple(map(index.__getitem__, map(multiplier(s), gens))) for s in images]
-    left = list(zip(*(map(index.__getitem__, map(multiplier(g), images)) for g in gens)))
+    right = list(zip(*(map(at, _times(n, g)(keys)) for g in gens)))
+    left = [tuple(map(at, products)) for products in _left_times(n, gens)(keys)]
     return right, left
 
 
@@ -129,36 +134,37 @@ class EggBox:
         return len(self.cells), len(self.cells[0])
 
 
+def _idempotent(u):
+    """Is the map with image tuple u idempotent: u*u == u?"""
+    return multiplier(u)(u) == u
+
+
 def eggboxes(ts):
-    """EggBox grids for every D-class, ordered as the J-classes are."""
+    """EggBox grids for every D-class, ordered as the J-classes are.
+
+    The cells are the H-classes: H-class h sits in the box of the J-class,
+    the row of the R-class and the column of the L-class of its least
+    member, all read from the preorders' class lists.  Only the column
+    images are computed from elements, one per L-class.
+    """
     m = ts.adjoin_identity()
-    lp = green_poset(m, "L")
-    rp = green_poset(m, "R")
+    jp, rp, lp, hp = (green_preorder(m, kind) for kind in ("J", "R", "L", "H"))
+    jq, lq, hq = jp.poset, lp.poset, hp.poset
+    grids = [{} for _ in jq.classes]
+    for h, i in enumerate(hp.firsts):
+        grids[jp.class_of[i]][rp.class_of[i], lp.class_of[i]] = h
     boxes = []
-    for cls in green_poset(m, "J").classes:
-        member_set = set(cls)
-        row_ids = sorted({rp.class_of[t] for t in cls})
-        col_ids = sorted({lp.class_of[t] for t in cls})
-        col_of = {ci: k for k, ci in enumerate(col_ids)}
-        cells = []
-        flags = []
-        for ri in row_ids:
-            # one pass over the R-class fills its cells in R-class order
-            buckets = [[] for _ in col_ids]
-            for t in rp.classes[ri]:
-                if t in member_set:
-                    buckets[col_of[lp.class_of[t]]].append(t)
-            if not all(buckets):
-                raise ConsistencyError("empty H-cell inside a D-class")
-            cells.append(tuple(map(tuple, buckets)))
-            flags.append(tuple(tuple(t.is_idempotent() for t in cell) for cell in buckets))
-        col_images = tuple(lp.classes[ci][0].image() for ci in col_ids)
-        boxes.append(
-            EggBox(
-                members=cls,
-                cells=tuple(cells),
-                idempotent=tuple(flags),
-                col_images=col_images,
-            )
+    for cls, grid in zip(jq.classes, grids):
+        row_ids = sorted({r for r, _ in grid})
+        col_ids = sorted({c for _, c in grid})
+        if len(grid) != len(row_ids) * len(col_ids):
+            raise ConsistencyError("empty H-cell inside a D-class")
+        cells = tuple(tuple(hq.classes[grid[r, c]] for c in col_ids) for r in row_ids)
+        if sum(len(cell) for row in cells for cell in row) != len(cls):
+            raise ConsistencyError("H-cells do not fill their D-class")
+        flags = tuple(
+            tuple(tuple(_idempotent(t.images) for t in cell) for cell in row) for row in cells
         )
+        col_images = tuple(lq.classes[c][0].image() for c in col_ids)
+        boxes.append(EggBox(members=cls, cells=cells, idempotent=flags, col_images=col_images))
     return boxes

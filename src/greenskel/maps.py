@@ -3,10 +3,13 @@
 im sends an element of S^1 to its image subset.  It respects <=_L into
 inclusion and <=_J into subduction, so it drops to order-preserving
 surjections im_bar : S^1/L -> (I(X), inclusion) and
-im_bar_S : S^1/J -> skeleton.  Everything here is verified exhaustively,
-not trusted: each law of an induced map is decided once, by the ``induce``
-that builds it, which raises when the law fails; the diagram report lists
-those laws beside the verdicts it computes itself.
+im_bar_S : S^1/J -> skeleton.  im is held by element index: the image
+masks are read off the elements' keys, and each element's image is a
+position in the carrier of I(X).  Everything here is verified
+exhaustively, not trusted: each law of an induced map is decided once, by
+the ``induce_indexed`` that builds it, which raises when the law fails;
+the diagram report lists those laws beside the verdicts it computes
+itself.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from dataclasses import dataclass
 
 from .core import per_monoid
 from .green import green_preorder, green_poset
-from .order import induce, order_violation
+from .order import induce_indexed, order_violation
 from .skeleton import (
+    image_set,
     inclusion_poset,
     inclusion_preorder,
     skeleton_poset,
@@ -25,15 +29,29 @@ from .skeleton import (
 
 
 @per_monoid
+def image_masks(m):
+    """The image of every element of S^1 as a bit mask, in element order, read off its key."""
+    bit = [1 << x for x in range(m.n)]
+    return [sum(map(bit.__getitem__, set(u))) for u in m.keys]
+
+
+@per_monoid
+def im_index(m):
+    """The position of every element's image in I(X), in element order."""
+    position = {P.mask: i for i, P in enumerate(image_set(m).subsets)}
+    return list(map(position.__getitem__, image_masks(m)))
+
+
+@per_monoid
 def im_map(m):
-    """Element -> image subset, for every element of S^1."""
-    return {t: t.image() for t in m.elements}
+    """Element -> image subset, for every element of S^1: the subsets of I(X) itself."""
+    return dict(zip(m.elements, map(image_set(m).subsets.__getitem__, im_index(m))))
 
 
 @per_monoid
 def im_bar(m):
     """Induced surjection S^1/L -> (I(X), inclusion), laws re-verified."""
-    out = induce(im_map(m), green_preorder(m, "L"), inclusion_preorder(m))
+    out = induce_indexed(im_index(m), green_preorder(m, "L"), inclusion_preorder(m))
     if not out.is_surjective():
         raise AssertionError("induced map on L-classes misses an image set")
     return out
@@ -42,10 +60,15 @@ def im_bar(m):
 @per_monoid
 def im_bar_S(m):
     """Induced surjection S^1/J -> skeleton, laws re-verified."""
-    out = induce(im_map(m), green_preorder(m, "J"), subduction_preorder(m))
+    out = induce_indexed(im_index(m), green_preorder(m, "J"), subduction_preorder(m))
     if not out.is_surjective():
         raise AssertionError("induced map on J-classes misses a subduction class")
     return out
+
+
+def l_to_j(m):
+    """The J-class of every L-class of S^1, read at the L-class's least member."""
+    return tuple(map(green_preorder(m, "J").class_of.__getitem__, green_preorder(m, "L").firsts))
 
 
 @dataclass
@@ -137,7 +160,7 @@ def verify_diagram(ts):
     ibar_s = im_bar_S(m)
 
     # vertical collapses: L-class -> J-class and image set -> subduction class
-    l_to_j = tuple(jq.class_of[cls[0]] for cls in lq.classes)
+    lj = l_to_j(m)
     i_to_s = tuple(sq.class_of[iq.classes[c][0]] for c in range(len(iq)))
 
     arrows = {
@@ -148,7 +171,7 @@ def verify_diagram(ts):
         # im_bar raises unless onto the inclusion classes, which are single
         # subsets; the induces of im_bar and im_bar_S check im on both orders
         "im": {"surjective": True, "order_preserving": True},
-        "S1/L->S1/J": _class_arrow(lq, jq, l_to_j),
+        "S1/L->S1/J": _class_arrow(lq, jq, lj),
         "I(X)->skeleton": _class_arrow(iq, sq, i_to_s),
         # im_bar and im_bar_S raise unless surjective, and their induce
         # raises unless the class map is order-preserving
@@ -161,7 +184,7 @@ def verify_diagram(ts):
         "im_bar o /L = im": True,
         # class square: both routes S1/L -> skeleton agree
         "im_bar_S o collapse = collapse o im_bar": all(
-            ibar_s.class_map[l_to_j[c]] == i_to_s[ibar.class_map[c]]
+            ibar_s.class_map[lj[c]] == i_to_s[ibar.class_map[c]]
             for c in range(len(lq))
         ),
         # item paths S1 -> skeleton: the square induce checks for im_bar_S

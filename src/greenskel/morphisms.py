@@ -21,10 +21,10 @@ from .core import (
     apply_mask,
     multiplier,
 )
-from .green import green_poset, green_preorder
-from .maps import im_bar, im_bar_S, im_map
-from .order import NotAMorphismError, induce
-from .skeleton import image_set, inclusion_poset, subduction_preorder
+from .green import green_preorder
+from .maps import im_bar, im_bar_S, image_masks, l_to_j
+from .order import NotAMorphismError, induce_indexed
+from .skeleton import image_set, subduction_preorder
 
 MAX_PARTITION_STATES = 8
 
@@ -355,6 +355,8 @@ def functoriality_check(m):
     if not ok:
         raise ValueError(f"morphism fails validation: {violation}")
     sm, tm, phi = _extended_elem_map(m)
+    # phi on element indices, source element order
+    phi_idx = list(map(tm.index, map(phi.__getitem__, sm.elements)))
     witnesses = {}
 
     # (a) element map respects and surjects both Green structures
@@ -363,13 +365,13 @@ def functoriality_check(m):
     for kind in ("L", "J"):
         entry = {"morphism": True, "item_surjective": True, "class_surjective": True}
         try:
-            ind = induce(phi, green_preorder(sm, kind), green_preorder(tm, kind))
+            ind = induce_indexed(phi_idx, green_preorder(sm, kind), green_preorder(tm, kind))
             induced_green[kind] = ind
             entry["class_surjective"] = ind.is_surjective()
         except NotAMorphismError as err:
             entry["morphism"] = False
             witnesses[f"{kind}_morphism"] = err.witness
-        entry["item_surjective"] = {phi[s] for s in sm.elements} == set(tm.elements)
+        entry["item_surjective"] = len(set(phi_idx)) == len(tm)
         order_maps[kind] = entry
 
     # (b) state map carries image sets onto image sets, decided on masks
@@ -403,12 +405,14 @@ def functoriality_check(m):
 
     # the target relation and the skeleton-level node map: psi induces a
     # map of the subduction preorders, or the first pair it breaks; onto
-    # I(Y), psi takes its values among I(Y)'s own subsets
+    # I(Y), psi sends the k-th subset of I(X) to a position in I(Y), the
+    # carriers of the two subduction preorders
     skeleton = None
     if images_onto:
-        psi = {P: target_of[mask] for P, mask in psi_mask.items()}
+        position = {mask: k for k, mask in enumerate(target_of)}
+        psi = [position[mask] for mask in psi_mask.values()]
         try:
-            skeleton = induce(psi, subduction_preorder(sm), subduction_preorder(tm))
+            skeleton = induce_indexed(psi, subduction_preorder(sm), subduction_preorder(tm))
         except NotAMorphismError as err:
             witnesses["target_subduction"] = err.witness
     well_defined = skeleton is not None
@@ -422,34 +426,32 @@ def functoriality_check(m):
     # (d) the six node maps against every arrow of the two diagrams
     squares = {}
     if well_defined and all(v["morphism"] for v in order_maps.values()):
-        lqx, lqy = green_poset(sm, "L"), green_poset(tm, "L")
-        jqx, jqy = green_poset(sm, "J"), green_poset(tm, "J")
-        iqx, iqy = inclusion_poset(sm), inclusion_poset(tm)
         alpha_l = induced_green["L"].class_map
         alpha_j = induced_green["J"].class_map
-        imx, imy = im_map(sm), im_map(tm)
         ibx, iby = im_bar(sm), im_bar(tm)
         ibsx, ibsy = im_bar_S(sm), im_bar_S(tm)
-        lj_x = tuple(jqx.class_of[cls[0]] for cls in lqx.classes)
-        lj_y = tuple(jqy.class_of[cls[0]] for cls in lqy.classes)
+        lj_x, lj_y = l_to_j(sm), l_to_j(tm)
 
         # the induces of phi on L and J raise unless these squares commute
         squares["L_quotient"] = True
         squares["J_quotient"] = True
-        squares["im"] = all(psi[imx[s]] == imy[phi[s]] for s in sm.elements)
+        # psi(im(s)) == im(phi(s)) on masks, every element at once
+        psi_of = {P.mask: mask for P, mask in psi_mask.items()}
+        squares["im"] = list(map(psi_of.__getitem__, image_masks(sm))) == list(
+            map(image_masks(tm).__getitem__, phi_idx)
+        )
         squares["L_to_J_collapse"] = all(
-            alpha_j[lj_x[c]] == lj_y[alpha_l[c]] for c in range(len(lqx))
+            alpha_j[lj_x[c]] == lj_y[alpha_l[c]] for c in range(len(alpha_l))
         )
         # the item->class square of the skeleton induce, which raises unless it commutes
         squares["inclusion_to_skeleton_collapse"] = True
+        # inclusion has one class per subset of I(X), in carrier order
         squares["im_bar"] = all(
-            iqy.classes[iby.class_map[alpha_l[c]]][0]
-            == psi[iqx.classes[ibx.class_map[c]][0]]
-            for c in range(len(lqx))
+            iby.class_map[alpha_l[c]] == psi[ibx.class_map[c]] for c in range(len(alpha_l))
         )
         squares["im_bar_S"] = all(
             ibsy.class_map[alpha_j[d]] == skeleton.class_map[ibsx.class_map[d]]
-            for d in range(len(jqx))
+            for d in range(len(alpha_j))
         )
     else:
         for name in (

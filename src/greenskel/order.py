@@ -2,8 +2,9 @@
 
 A ``Preorder`` is held on its classes: the class of every item plus the
 order of the classes, one bit row per class.  Its constructor checks the
-laws on those classes, and ``quotient`` takes them as they are.  Its
-item-level rows are derived only when read.
+laws on those classes and finds the covers of the class order with the
+same union, and ``quotient`` takes them as they are.  Its item-level rows
+are derived only when read.
 
 A relation given by its generating edges, such as a Cayley graph, is
 closed by ``closure_classes``: Tarjan's strongly connected components of
@@ -35,7 +36,10 @@ class Preorder:
 
     items[i] <= items[j] when class ``class_of[i]`` <= class
     ``class_of[j]``: bit d of ``class_rows[c]`` says class c <= class d.
-    Item-level ``rows`` and the index are derived on first use.
+    ``firsts[c]`` is the index of class c's least member, and ``covers``
+    lists the pairs (c, d), sorted, where d is strictly above c with no
+    class between.  Item-level ``rows`` and the index are derived on first
+    use.
 
     The constructor decides the laws, so every Preorder is a preorder: the
     items are distinct (else ValueError), and MalformedPreorderError is
@@ -45,8 +49,11 @@ class Preorder:
     every class row has a member.  The class rows are then checked per
     class: reflexive, with no bit past the last class, transitive, and
     distinct, since in a reflexive, transitive relation two classes with
-    equal rows are mutually related.  Each class is named in a message by
-    its least member.
+    equal rows are mutually related.  Transitivity takes one union per
+    class: ``above``, the OR of the strict rows of the classes strictly
+    above c, must lie inside c's row.  The covers of c are then the bits
+    of its strict row outside ``above``.  Each class is named in a message
+    by its least member.
     """
 
     def __init__(self, items, class_of, class_rows):
@@ -57,10 +64,12 @@ class Preorder:
             raise ValueError("carrier items must be distinct")
         self.class_of = class_of
         self.class_rows = class_rows
+        self.firsts = firsts = []
         count = 0
         for i, c in enumerate(class_of):
             if c == count:
                 count += 1
+                firsts.append(i)
             elif not 0 <= c < count:
                 raise MalformedPreorderError(
                     f"class {c!r} of {items[i]!r} is not numbered by least member"
@@ -73,6 +82,8 @@ class Preorder:
         def rep(c):
             return items[class_of.index(c)]
 
+        strict = [row & ~(1 << c) for c, row in enumerate(class_rows)]
+        covers = []
         first = {}
         for c, row in enumerate(class_rows):
             if not row >> c & 1:
@@ -81,7 +92,8 @@ class Preorder:
                 raise MalformedPreorderError(
                     f"class of {rep(c)!r} is below a class that does not exist"
                 )
-            bad = union_over(row, class_rows) & ~row
+            above = union_over(strict[c], strict)
+            bad = above & ~row
             if bad:
                 raise MalformedPreorderError(
                     f"relation not transitive: {rep(c)!r} reaches {rep((bad & -bad).bit_length() - 1)!r} in two steps only"
@@ -89,6 +101,12 @@ class Preorder:
             d = first.setdefault(row, c)
             if d != c:
                 raise MalformedPreorderError(f"classes of {rep(d)!r} and {rep(c)!r} are mutually related")
+            rest = strict[c] & ~above
+            while rest:
+                low = rest & -rest
+                covers.append((c, low.bit_length() - 1))
+                rest ^= low
+        self.covers = tuple(covers)
 
     @cached_property
     def rows(self):
@@ -219,14 +237,20 @@ class ClassPoset:
     """Quotient of a preorder: equivalence classes under mutual <=, ordered.
 
     Classes are numbered by their least member's position in the source
-    carrier, and each class is named by that least member.
+    carrier, and each class is named by that least member.  ``item_class``
+    lists the class of every item by index; ``class_of``, the same keyed
+    by item, is built on first read.
     """
 
     items: tuple
     classes: tuple
     rows: list
     covers: tuple
-    class_of: dict
+    item_class: list
+
+    @cached_property
+    def class_of(self):
+        return dict(zip(self.items, self.item_class))
 
     def __len__(self):
         return len(self.classes)
@@ -282,33 +306,14 @@ def transpose(rows):
 def quotient(p):
     """Collapse mutual comparabilities; the classes inherit a partial order.
 
-    The classes and class rows are those of ``p``, numbered by least
-    member.  ``Preorder.poset`` keeps the result; this always computes.
+    The classes, class rows and covers are those the constructor of ``p``
+    checked and found, numbered by least member; only the member lists are
+    built here.  ``Preorder.poset`` keeps the result; this always computes.
     """
-    class_idx, rows = p.class_of, p.class_rows
-    members = [[] for _ in rows]
-    for a, c in zip(p.items, class_idx):
+    members = [[] for _ in p.class_rows]
+    for a, c in zip(p.items, p.class_of):
         members[c].append(a)
-    covers = _transitive_reduction(rows)
-    class_of = dict(zip(p.items, class_idx))
-    return ClassPoset(p.items, tuple(map(tuple, members)), rows, covers, class_of)
-
-
-def _transitive_reduction(rows):
-    """The covers (i, j) of a partial order, sorted: j is above i, nothing between.
-
-    j covers i when it is strictly above i and strictly above no class
-    strictly above i.
-    """
-    strict = [row & ~(1 << i) for i, row in enumerate(rows)]
-    covers = []
-    for i, row in enumerate(strict):
-        rest = row & ~union_over(row, strict)
-        while rest:
-            low = rest & -rest
-            covers.append((i, low.bit_length() - 1))
-            rest ^= low
-    return tuple(covers)
+    return ClassPoset(p.items, tuple(map(tuple, members)), p.class_rows, p.covers, p.class_of)
 
 
 def order_violation(src_rows, dst_rows, f):
@@ -356,15 +361,6 @@ def is_order_isomorphism(src_rows, dst_rows, f):
     )
 
 
-def _item_violation(fmap, src, dst):
-    """First items (a, b) with a <= b in ``src`` but not fmap[a] <= fmap[b], else None."""
-    found = order_violation(src.rows, dst.rows, [dst.index(fmap[a]) for a in src.items])
-    if found is None:
-        return None
-    i, j = found
-    return src.items[i], src.items[j]
-
-
 @dataclass
 class InducedMap:
     """The quotient-level map induced by a preorder-respecting item map."""
@@ -388,16 +384,30 @@ class InducedMap:
 
 
 def induce(f, src, dst):
+    """Quotient-level map of a preorder morphism given as a dict of items.
+
+    ``f`` must map every source item to a target item (else ValueError);
+    the laws are decided by ``induce_indexed`` on the target index of every
+    source item.
+    """
+    missing = [a for a in src.items if a not in f]
+    if missing:
+        raise ValueError(f"map not total on the source carrier, e.g. {missing[0]!r}")
+    return induce_indexed(list(map(dst.index, map(f.__getitem__, src.items))), src, dst)
+
+
+def induce_indexed(image, src, dst):
     """Quotient-level map of a preorder morphism; the one check of its laws.
 
+    ``image[i]`` is the index in ``dst`` of the image of source item i.
     The class rows of a quotient are exact: class(a) <= class(b) exactly
-    when a <= b.  So f respects the preorders exactly when (1) every member
-    of a source class lands in the target class of the class's first
-    member, and (2) the class map so defined respects the class rows.
-    Those two are decided here, by one pass of lookups over the items,
-    class by class, and one ``order_violation`` over the classes.  (1) is
-    also well-definedness on classes, the item->class square
-    ``class_map[class(a)] == class(f(a))`` for every item, and "the
+    when a <= b.  So the map respects the preorders exactly when (1) every
+    member of a source class lands in the target class of the class's
+    first member, and (2) the class map so defined respects the class
+    rows.  Those two are decided here, by one comparison of two lists of
+    target classes over the items and one ``order_violation`` over the
+    classes.  (1) is also well-definedness on classes, the item->class
+    square ``class_map[class(a)] == class(f(a))`` for every item, and "the
     preimage of every target class is a union of source classes".
 
     When either fails, the item-level check names the first offending pair
@@ -405,27 +415,20 @@ def induce(f, src, dst):
     class rows disagree with their items, can fail (1) or (2) with no such
     pair; that raises AssertionError.
     """
-    missing = [a for a in src.items if a not in f]
-    if missing:
-        raise ValueError(f"map not total on the source carrier, e.g. {missing[0]!r}")
     sp = src.poset
     tp = dst.poset
-    target_class = tp.class_of
-    class_map = []
-    split = None
-    for cls in sp.classes:
-        target = target_class[f[cls[0]]]
-        if split is None and any(target_class[f[a]] != target for a in cls[1:]):
-            split = cls
-        class_map.append(target)
-    class_map = tuple(class_map)
-    if split is not None or order_violation(sp.rows, tp.rows, class_map) is not None:
-        witness = _item_violation(f, src, dst)
-        if witness is not None:
-            raise NotAMorphismError(witness)
-        if split is not None:
-            count = len({target_class[f[b]] for b in split})
-            raise AssertionError(f"class of {split[0]!r} maps into {count} target classes")
+    lands = list(map(tp.item_class.__getitem__, image))
+    class_map = tuple(map(lands.__getitem__, src.firsts))
+    split = list(map(class_map.__getitem__, sp.item_class)) != lands
+    if split or order_violation(sp.rows, tp.rows, class_map) is not None:
+        found = order_violation(src.rows, dst.rows, image)
+        if found is not None:
+            raise NotAMorphismError((src.items[found[0]], src.items[found[1]]))
+        if split:
+            pairs = list(zip(sp.item_class, lands))
+            c = min(d for d, t in pairs if t != class_map[d])
+            count = len({t for d, t in pairs if d == c})
+            raise AssertionError(f"class of {sp.classes[c][0]!r} maps into {count} target classes")
         raise AssertionError("induced class map is not order-preserving")
     return InducedMap(sp, tp, class_map)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .core import Transformation, TransformationSemigroup, apply_mask, multiplier
 from .green import ConsistencyError, green_preorder
-from .order import induce, is_order_isomorphism, poset_isomorphic
+from .order import induce_indexed, is_order_isomorphism, poset_isomorphic
 from .skeleton import inclusion, orbit, subduction
 
 
@@ -110,13 +110,14 @@ def corollary_check(ts):
     rr = right_regular(ts)
     m = rr.monoid
     incl = inclusion(orbit(len(rr.carrier), rr.gens))
-    members = {P.mask: P for P in incl.items}
-    if not members.keys() >= set(rr.images):
+    position = {P.mask: i for i, P in enumerate(incl.items)}
+    if not position.keys() >= set(rr.images):
         raise ConsistencyError("a walked image is not in the orbit of the full state set")
-    im = {s: members[rr.images[i]] for s, i in rr.state_of.items()}
+    # the orbit position of im(rho(s)) for every s, in element order
+    im = [position[rr.images[a]] for a in map(rr.state_of.__getitem__, m.elements)]
     verdicts = []
     for kind, target in (("J", subduction(incl, rr.gens)), ("L", incl)):
-        bridge = induce(im, green_preorder(m, kind), target)
+        bridge = induce_indexed(im, green_preorder(m, kind), target)
         source, dest = bridge.source, bridge.target
         verdicts += [
             bridge.class_map,

@@ -16,7 +16,7 @@ from greenskel.core import (
     TransformationSemigroup,
     apply_mask,
 )
-from greenskel.green import green_preorder
+from greenskel.green import ConsistencyError, green_poset, green_preorder
 from greenskel.maps import im_bar, im_bar_S
 from greenskel.morphisms import TsMorphism
 from greenskel.order import MalformedPreorderError, Preorder, induce
@@ -82,6 +82,22 @@ def reversed_cayley_rows(m, which):
             if which != "R":
                 rows[index[comp(g, s)]] |= 1 << i
     return rows
+
+
+def cayley_graphs(m):
+    """The right and left Cayley graphs of S^1 as successor tuples, by tuple products.
+
+    The library's path before the edges were read off the keys: one
+    ``multiplier`` per element and per generator, on the element objects'
+    image tuples.  It takes the library's element numbering and generating
+    images, so the graphs compare exactly.
+    """
+    m = m.adjoin_identity()
+    index = {t.images: i for i, t in enumerate(m.elements)}
+    gens = m.generating_images()
+    right = [tuple(index[comp(s, g)] for g in gens) for s in index]
+    left = [tuple(index[comp(g, s)] for g in gens) for s in index]
+    return right, left
 
 
 def green_rows(m, which):
@@ -616,6 +632,25 @@ def reachable(rows, i):
     return seen
 
 
+def transitive_reduction(rows):
+    """The covers (i, j) of a partial order's bit rows, sorted: j above i, nothing between.
+
+    j covers i when it is strictly above i and strictly above no class
+    strictly above i: one union of strict rows per class.  The library's
+    cover search before the ``Preorder`` constructor found the covers with
+    its transitivity union.
+    """
+    strict = [row & ~(1 << i) for i, row in enumerate(rows)]
+    covers = []
+    for i, row in enumerate(strict):
+        above = 0
+        for j in range(len(rows)):
+            if row >> j & 1:
+                above |= strict[j]
+        covers.extend((i, j) for j in range(len(rows)) if row >> j & 1 and not above >> j & 1)
+    return tuple(covers)
+
+
 def leq_rows(items, leq):
     """Bit-mask rows of a relation, by calling ``leq`` on every item pair."""
     return [
@@ -895,3 +930,71 @@ def image_transport(m):
         None,
     )
     return images, transport
+
+
+def eggboxes(ts):
+    """Egg-box grids on element objects: (members, cells, idempotent, col_images) per D-class.
+
+    The library's layout before it read the class lists by index: each
+    J-class's members are bucketed by R-class and then by L-class through
+    the posets' ``class_of`` dicts, idempotency is ``Transformation.is_idempotent``
+    and each column's image is its L-class's first member's ``image()``.
+    """
+    m = ts.adjoin_identity()
+    lq, rq = green_poset(m, "L"), green_poset(m, "R")
+    out = []
+    for cls in green_poset(m, "J").classes:
+        member_set = set(cls)
+        row_ids = sorted({rq.class_of[t] for t in cls})
+        col_ids = sorted({lq.class_of[t] for t in cls})
+        cells = []
+        for ri in row_ids:
+            buckets = [[t for t in rq.classes[ri] if t in member_set and lq.class_of[t] == ci] for ci in col_ids]
+            if not all(buckets):
+                raise ConsistencyError("empty H-cell inside a D-class")
+            cells.append(tuple(map(tuple, buckets)))
+        flags = tuple(tuple(tuple(t.is_idempotent() for t in cell) for cell in row) for row in cells)
+        col_images = tuple(lq.classes[ci][0].image() for ci in col_ids)
+        out.append((cls, tuple(cells), flags, col_images))
+    return out
+
+
+def induce_by_items(f, src, dst):
+    """The class map of ``f`` from the classes of ``src`` to those of ``dst``, or the first bad pair.
+
+    The library's dict path before it decided the laws on indices: the
+    target class of every member of every source class, looked up through
+    the posets' ``class_of`` dicts, class by class, then the class rows.
+    Returns ``("map", class_map)`` when f respects both preorders, else
+    ``("witness", (a, b))`` with the first pair of a pairwise scan.
+    """
+    sp, tp = src.poset, dst.poset
+    class_map = tuple(tp.class_of[f[cls[0]]] for cls in sp.classes)
+    split = any(tp.class_of[f[a]] != class_map[c] for c, cls in enumerate(sp.classes) for a in cls)
+    broken = any(
+        sp.rows[c] >> d & 1 and not tp.rows[class_map[c]] >> class_map[d] & 1
+        for c in range(len(sp))
+        for d in range(len(sp))
+    )
+    if not split and not broken:
+        return "map", class_map
+    for a in src.items:
+        for b in src.items:
+            if src.leq(a, b) and not dst.leq(f[a], f[b]):
+                return "witness", (a, b)
+    return "planted", None
+
+
+def im_square(m):
+    """The ``im`` square of a functoriality check on subsets: psi(im(s)) == im(phi(s)) for all s.
+
+    The library's form before it compared masks by index: ``image()`` of
+    every element and of its image under phi, psi applied to each subset.
+    """
+    sm, tm = m.source.adjoin_identity(), m.target.adjoin_identity()
+    phi = dict(m.elem_map)
+    phi.setdefault(sm.identity(), tm.identity())
+    return all(
+        StateSubset.of(m.target.n, (m.state_map[x] for x in s.image())) == phi[s].image()
+        for s in sm.elements
+    )

@@ -12,10 +12,12 @@ from greenskel import (
     MalformedPreorderError,
     NotAMorphismError,
     ResourceLimitError,
+    Transformation,
     green_preorder,
 )
 from greenskel.cli import (
     ALL_TASKS,
+    DEFAULT_TASKS,
     DOT_KINDS,
     InputDocument,
     InputError,
@@ -217,6 +219,44 @@ class TestRun:
         assert (bundle.semigroup is bundle.monoid) == bundle.semigroup.has_identity
         for ts in (bundle.semigroup, bundle.monoid):
             assert "elements" not in vars(ts) and "_index" not in vars(ts)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["states: 5\ngen: 2 3 4 5 1\ngen: 2 1 3 4 5\ngen: 1 1 3 4 5\n", read(CHAIN)],
+        ids=["full_t5", "chain_collapse"],
+    )
+    def test_default_tasks_take_no_image_or_idempotency_per_element(self, text, monkeypatch):
+        # images and idempotency come from keys and image tuples; an
+        # element's image() is taken only for an egg-box column, one per L-class
+        calls = {"image": 0, "is_idempotent": 0}
+        for name in calls:
+            original = getattr(Transformation, name)
+
+            def counted(self, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self)
+
+            monkeypatch.setattr(Transformation, name, counted)
+        bundle = run(parse(text), DEFAULT_TASKS)
+        for which in DOT_KINDS:
+            emit_dot(bundle, which)
+        report_text(bundle)
+        report_data(bundle)
+        verification_lines(bundle)
+        assert calls["is_idempotent"] == 0
+        assert 0 < calls["image"] <= len(bundle.green["L"])
+
+    @pytest.mark.parametrize("path", [CHAIN, NONLATTICE])
+    def test_lattice_verdict_decided_once(self, path, monkeypatch):
+        calls = []
+        original = cli.lattice_violation
+        monkeypatch.setattr(cli, "lattice_violation", lambda p: calls.append(p) or original(p))
+        bundle = run(parse(read(path)), DEFAULT_TASKS)
+        emit_dot(bundle, "skeleton")
+        assert calls == []
+        text, data = report_text(bundle), report_data(bundle)
+        assert calls == [bundle.skeleton]
+        assert ("skeleton lattice: yes" in text) == data["skeleton"]["lattice"]
 
     @pytest.mark.parametrize("path", [CHAIN, NONLATTICE, str(INPUTS / "right_zero.tsg")])
     def test_all_tasks_derive_no_item_rows(self, path):

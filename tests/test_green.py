@@ -15,6 +15,7 @@ from greenskel import (
 )
 from greenskel.cli import parse
 from greenskel.core import NotClosedError, TransformationSemigroup
+from greenskel.green import _cayley_graphs
 from greenskel.catalog import (
     chain_collapse,
     collapse_motif,
@@ -25,7 +26,7 @@ from greenskel.catalog import (
 )
 
 import naive
-from conftest import assert_green_matches_dense_path, assert_preorder_laws
+from conftest import assert_green_matches_dense_path, assert_preorder_laws, sample_semigroups
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -241,7 +242,57 @@ class TestClasses:
         assert len(green_poset(m, "H")) == 13
 
 
+def swap_collapse_cycle(n):
+    """Generators on n states: swap 0 and 1, send 1 to 0, and rotate the top three states.
+
+    Each acts where it can (n = 1 keeps only the identity), so S stays at
+    most a dozen elements while the keys hold the highest states.
+    """
+    if n == 1:
+        return [Transformation((0,))]
+    swap = list(range(n))
+    swap[0], swap[1] = 1, 0
+    collapse = [0] + list(range(1, n))
+    collapse[1] = 0
+    gens = [swap, collapse]
+    if n >= 5:
+        rotate = list(range(n))
+        rotate[n - 3], rotate[n - 2], rotate[n - 1] = n - 2, n - 1, n - 3
+        gens.append(rotate)
+    return [Transformation(g) for g in gens]
+
+
+class TestCayleyGraphs:
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+    def test_key_edges_match_tuple_products(self, n):
+        # byte keys up to 256 states, tuple keys above
+        m = TransformationSemigroup.generate(n, swap_collapse_cycle(n)).adjoin_identity()
+        assert isinstance(m.keys[0], bytes if n <= 256 else tuple)
+        assert [tuple(u) for u in m.keys] == [t.images for t in m.elements]
+        assert _cayley_graphs(m) == naive.cayley_graphs(m)
+
+    def test_constructed_semigroups_match_tuple_products(self, fixtures):
+        for ts in list(fixtures.values()) + sample_semigroups(seed=3, count=30):
+            m = TransformationSemigroup(ts.n, ts.generators, ts.elements).adjoin_identity()
+            assert _cayley_graphs(m) == naive.cayley_graphs(m), ts
+
+
 class TestEggBoxes:
+    def test_match_object_oracle(self, fixtures):
+        corpus = list(fixtures.values()) + sample_semigroups(seed=5, count=30) + [full_tmonoid(4)]
+        for ts in corpus:
+            got = [(b.members, b.cells, b.idempotent, b.col_images) for b in eggboxes(ts)]
+            assert got == naive.eggboxes(ts), ts
+
+    def test_refuse_an_h_class_across_j_classes(self):
+        # plant the one-class H preorder on T3: its single cell cannot fill
+        # any one D-class
+        m = full_tmonoid(3)
+        m = TransformationSemigroup(m.n, m.generators, m.elements)
+        m._memo[(green_preorder.__wrapped__, ("H",))] = Preorder(m.elements, [0] * len(m), [1])
+        with pytest.raises(ConsistencyError):
+            eggboxes(m)
+
     def test_cells_partition_each_d_class(self, fixtures):
         for ts in fixtures.values():
             m = ts.adjoin_identity()

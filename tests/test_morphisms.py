@@ -276,6 +276,7 @@ class TestFunctorialityDifferential:
         assert report.witnesses.get("target_subduction") == target_witness
         squares = naive.functoriality_squares(m)
         assert {name: report.squares[name] for name in squares} == squares
+        assert_im_square_matches_oracle(report, m)
 
     def test_catalog_quotients(self, fixtures):
         count = 0
@@ -290,6 +291,18 @@ class TestFunctorialityDifferential:
     def test_valid_morphism_cases(self, m):
         assume(m is not None and outcome(validate, m) == (True, None))
         self.assert_matches_oracle(m)
+
+
+def assert_im_square_matches_oracle(report, m):
+    """The ``im`` square, decided on masks by index, against psi(im(s)) == im(phi(s)) on subsets.
+
+    The report decides the square only when phi respects both Green
+    preorders and psi respects subduction; otherwise it reads False.
+    """
+    gated = report.skeleton_map["well_defined"] and all(
+        v["morphism"] for v in report.order_maps.values()
+    )
+    assert report.squares["im"] == (gated and naive.im_square(m))
 
 
 def assert_quotient_matches_scan(ts, blocks):
@@ -347,6 +360,7 @@ def assert_transport_matches_scan(m):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(morphisms, "validate", lambda m: (True, None))
         report = functoriality_check(m)
+    assert_im_square_matches_oracle(report, m)
     assert report.witnesses.get("images") == images
     assert report.witnesses.get("transport") == transport
     assert report.images_onto == (images is None)

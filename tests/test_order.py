@@ -19,8 +19,8 @@ from greenskel import (
 from greenskel.catalog import chain_collapse
 from greenskel.order import (
     ClassPoset,
-    _transitive_reduction,
     closure_classes,
+    induce_indexed,
     is_order_isomorphism,
     order_violation,
     strongly_connected,
@@ -326,6 +326,47 @@ class TestPreorder:
                 Preorder(range(n), class_of, class_rows)
 
 
+class TestConstructorCovers:
+    @given(digraphs())
+    @settings(max_examples=200)
+    @example([])
+    @example([0b010, 0b101, 0b100])
+    @example([0b0110, 0b1000, 0b1000, 0])
+    def test_covers_match_transitive_reduction_oracle(self, rows):
+        p = closure(rows)
+        assert p.covers == naive.transitive_reduction(p.class_rows)
+        assert p.poset.covers is p.covers
+
+    @given(digraphs(), st.integers(0, 9999))
+    @settings(max_examples=300, deadline=None)
+    @example([], 0)
+    @example([0b0010, 0b0100, 0b1000, 0b0000], 1)
+    def test_planted_non_transitive_row_keeps_its_message(self, rows, pick):
+        # clear a strict bit of a class row that is not a cover: the class
+        # reaches it through a class between, so transitivity fails there
+        # first, with the message the item-level oracle gives.  A chain of
+        # three new items on top guarantees such a bit.
+        n = len(rows)
+        p = closure(rows + [1 << n + 1, 1 << n + 2, 0])
+        class_of, class_rows = list(p.class_of), list(p.class_rows)
+        covers = set(p.covers)
+        planted = [
+            (c, d)
+            for c, row in enumerate(class_rows)
+            for d in range(len(class_rows))
+            if d != c and row >> d & 1 and (c, d) not in covers
+        ]
+        c, d = planted[pick % len(planted)]
+        class_rows[c] &= ~(1 << d)
+        items = [f"i{k}" for k in range(len(class_of))]
+        with pytest.raises(MalformedPreorderError) as want:
+            naive.quotient(items, naive.class_item_rows(class_of, class_rows))
+        with pytest.raises(MalformedPreorderError) as got:
+            Preorder(items, class_of, class_rows)
+        assert "not transitive" in str(got.value)
+        assert str(got.value) == str(want.value)
+
+
 class TestQuotient:
     def test_two_element_cycle_collapses(self):
         p = preorder_from_pairs("abcd", [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d")])
@@ -470,7 +511,7 @@ class TestMorphism:
         src = preorder_from_pairs("ab", [("a", "b"), ("b", "a")])
         dst = preorder_from_pairs("xy", [("x", "y"), ("y", "x")])
         dst.__dict__["poset"] = ClassPoset(
-            dst.items, (("x",), ("y",)), [0b11, 0b11], (), {"x": 0, "y": 1}
+            dst.items, (("x",), ("y",)), [0b11, 0b11], (), [0, 1]
         )
         with pytest.raises(AssertionError, match="class of 'a' maps into 2 target classes"):
             induce({"a": "x", "b": "y"}, src, dst)
@@ -481,10 +522,47 @@ class TestMorphism:
         src = preorder_from_pairs("ab", [("a", "b")])
         dst = preorder_from_pairs("xy", [("x", "y")])
         dst.__dict__["poset"] = ClassPoset(
-            dst.items, (("x",), ("y",)), [0b01, 0b10], (), {"x": 0, "y": 1}
+            dst.items, (("x",), ("y",)), [0b01, 0b10], (), [0, 1]
         )
         with pytest.raises(AssertionError, match="induced class map is not order-preserving"):
             induce({"a": "x", "b": "y"}, src, dst)
+
+
+class TestInduceIndexed:
+    @given(preorder_maps())
+    @example(([0b11, 0b10], [0b01, 0b10], [0, 1]))  # not monotone
+    @example(([0b11, 0b11], [0b01, 0b10], [0, 1]))  # one class split over two targets
+    @example(([0b11, 0b10], [0b111, 0b110, 0b100], [0, 2]))  # monotone
+    @settings(max_examples=200)
+    def test_index_core_matches_dict_path_and_oracle(self, case):
+        src_rows, dst_rows, f = case
+        src = naive.preorder([f"a{i}" for i in range(len(src_rows))], src_rows)
+        dst = naive.preorder([f"b{t}" for t in range(len(dst_rows))], dst_rows)
+        fmap = {f"a{i}": f"b{t}" for i, t in enumerate(f)}
+        kind, want = naive.induce_by_items(fmap, src, dst)
+        if kind == "map":
+            assert induce_indexed(f, src, dst).class_map == induce(fmap, src, dst).class_map == want
+        else:
+            for call in (lambda: induce_indexed(f, src, dst), lambda: induce(fmap, src, dst)):
+                with pytest.raises(NotAMorphismError) as info:
+                    call()
+                assert info.value.witness == want
+
+    @pytest.mark.parametrize("kind", ["L", "J"])
+    def test_planted_non_morphism_on_green_preorders(self, kind):
+        # shifting the element numbering of chain_collapse by one breaks
+        # both preorders; both paths name the same first pair
+        m = chain_collapse()
+        p = green_preorder(m, kind)
+        n = len(p)
+        f = [(i + 1) % n for i in range(n)]
+        fmap = {a: p.items[t] for a, t in zip(p.items, f)}
+        kind_, want = naive.induce_by_items(fmap, p, p)
+        assert kind_ == "witness"
+        for call in (lambda: induce_indexed(f, p, p), lambda: induce(fmap, p, p)):
+            with pytest.raises(NotAMorphismError) as info:
+                call()
+            assert info.value.witness == want
 
 
 class TestOrderViolation:
@@ -598,7 +676,7 @@ class TestAgainstNetworkx:
     @settings(max_examples=150)
     def test_covers_are_the_transitive_reduction(self, nx, p):
         want = nx.transitive_reduction(strict_digraph(nx, p))
-        assert _transitive_reduction(p.rows) == tuple(sorted(want.edges))
+        assert p.covers == naive.transitive_reduction(p.rows) == tuple(sorted(want.edges))
 
     @given(p=posets(), data=st.data())
     @settings(max_examples=150)

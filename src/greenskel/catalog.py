@@ -4,8 +4,6 @@ Every factory returns a monoid unless noted; names describe the behavior
 the fixture exists to pin down.
 """
 
-from __future__ import annotations
-
 from .core import Transformation, TransformationSemigroup
 
 

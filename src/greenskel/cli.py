@@ -14,15 +14,16 @@ Subcommands: analyze, dot, verify, regrep, functorial.  Exit codes:
 verification failure (a broken invariant, reported without a traceback).
 """
 
-from __future__ import annotations
-
-import argparse
-import json
 import sys
-from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .core import ResourceLimitError, StateSubset, Transformation, TransformationSemigroup
+from .core import (
+    ResourceLimitError,
+    StateSubset,
+    Transformation,
+    TransformationSemigroup,
+    _read_only,
+)
 from .green import ConsistencyError, d_classes, eggboxes, green_poset
 from .maps import im_bar_S, verify_diagram
 from .morphisms import admissible_partitions, functoriality_check, quotient_ts, validate
@@ -63,14 +64,29 @@ class MissingAnalysisError(RuntimeError):
     """A rendering was requested for an analysis the bundle does not hold."""
 
 
-@dataclass(frozen=True)
 class InputDocument:
-    """A parsed semigroup description."""
+    """A parsed semigroup description; immutable."""
 
-    n: int
-    generators: tuple
-    monoid: bool = True
-    extended: bool = False
+    __slots__ = ("n", "generators", "monoid", "extended")
+
+    def __init__(self, n, generators, monoid=True, extended=False):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "monoid", monoid)
+        object.__setattr__(self, "extended", extended)
+
+    def _fields(self):
+        return self.n, self.generators, self.monoid, self.extended
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    __setattr__ = __delattr__ = _read_only
 
 
 def _parse_bool(value, lineno):
@@ -156,22 +172,19 @@ def build_semigroup(doc, max_elements=1_000_000):
     return m
 
 
-@dataclass
 class AnalysisBundle:
-    """Results of the requested analyses for one input document."""
+    """Results of the requested analyses for one input document.
 
-    doc: InputDocument
-    semigroup: TransformationSemigroup
-    monoid: TransformationSemigroup
-    tasks: tuple
-    green: dict = None
-    dclasses: tuple = None
-    boxes: tuple = None
-    images: object = None
-    skeleton: object = None
-    diagram: object = None
-    corollary: object = None
-    functorial: list = None
+    ``run`` fills in the results of the tasks it runs; the others stay None.
+    """
+
+    def __init__(self, doc, semigroup, monoid, tasks):
+        self.doc = doc
+        self.semigroup = semigroup
+        self.monoid = monoid
+        self.tasks = tasks
+        self.green = self.dclasses = self.boxes = self.images = self.skeleton = None
+        self.diagram = self.corollary = self.functorial = None
 
     @cached_property
     def lattice(self):
@@ -509,6 +522,8 @@ def _write_out(path, text):
 
 
 def main(argv=None):
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="greenskel",
         description="Green's class orders, subduction skeletons, and their morphisms "
@@ -550,7 +565,7 @@ def main(argv=None):
             raise InputError(f"{args.input} is not UTF-8: {err}") from None
         doc = parse(text)
         if args.extended:
-            doc = replace(doc, extended=True)
+            doc = InputDocument(doc.n, doc.generators, doc.monoid, True)
         return _dispatch(args, doc)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -585,6 +600,8 @@ def _dispatch(args, doc):
         ok = bundle.passed
         sys.stdout.write(report_text(bundle))
     if args.out:
+        import json
+
         _write_out(args.out, json.dumps(report_data(bundle), indent=2) + "\n")
     return 0 if ok else 1
 

@@ -5,12 +5,8 @@ A transformation acts on the right, so the product ``s * t`` means
 "first s, then t": ``x^(st) = (x^s)^t``.
 """
 
-from __future__ import annotations
-
 import bisect
 import functools
-import inspect
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
 
@@ -88,7 +84,13 @@ def _left_times(n, gens):
     return lambda keys: ([times_g(u) for times_g in times] for u in keys)
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+def _read_only(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of an immutable record."""
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+
 class Transformation:
     """A total map on {0..n-1}, stored as the tuple of images.
 
@@ -97,26 +99,24 @@ class Transformation:
     ``__mul__`` and ``TransformationSemigroup.generate``): its entries are
     entries of a checked map, so they are in range by construction.
 
-    The hash is computed once.  It is ``hash((images,))``, the value of the
-    generated dataclass hash, so sets of maps keep their iteration order.
-    The repr is computed on first use and kept.
+    Immutable.  The hash is computed once.  It is ``hash((images,))``, the
+    value the class had as a dataclass, so sets of maps keep their
+    iteration order.  The repr is computed on first use and kept.
     """
 
-    images: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
-    _repr: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("images", "_hash", "_repr")
 
-    def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
+    def __init__(self, images):
+        images = tuple(images)
         n = len(images)
         if n == 0:
             raise ValueError("transformation needs at least one state")
         for x in images:
             if not isinstance(x, int) or not 0 <= x < n:
                 raise ValueError(f"image entry {x!r} outside 0..{n - 1}")
-        object.__setattr__(self, "_hash", hash((images,)))
-        object.__setattr__(self, "_repr", None)
+        _set_images(self, images)
+        _set_hash(self, hash((images,)))
+        _set_repr(self, None)
 
     @classmethod
     def _product(cls, images):
@@ -127,8 +127,15 @@ class Transformation:
         _set_repr(t, None)
         return t
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
     def __hash__(self):
         return self._hash
+
+    __setattr__ = __delattr__ = _read_only
 
     @classmethod
     def from_one_based(cls, seq):
@@ -167,29 +174,42 @@ class Transformation:
 
     def __repr__(self):
         if self._repr is None:
-            object.__setattr__(self, "_repr", "T[%s]" % " ".join([str(x + 1) for x in self.images]))
+            _set_repr(self, "T[%s]" % " ".join([str(x + 1) for x in self.images]))
         return self._repr
 
     __str__ = __repr__
 
 
-# the slots' own setters: a product sets its fields through them, past the
-# frozen __setattr__, at half the cost of object.__setattr__ by name
+# the slots' own setters: the constructors set the fields through them, past
+# the read-only __setattr__, at half the cost of object.__setattr__ by name
 _set_images, _set_hash, _set_repr = (
     Transformation.__dict__[name].__set__ for name in ("images", "_hash", "_repr")
 )
 
 
-@dataclass(frozen=True, repr=False)
 class StateSubset:
-    """Subset of the n states as a bit mask (bit x set iff state x is in)."""
+    """Subset of the n states as a bit mask (bit x set iff state x is in).
 
-    n: int
-    mask: int
+    Immutable; the hash is ``hash((n, mask))``, as it was for the dataclass.
+    """
 
-    def __post_init__(self):
-        if self.mask < 0 or self.mask >> self.n:
-            raise ValueError(f"mask {self.mask:#x} outside 0..{self.n - 1}")
+    __slots__ = ("n", "mask")
+
+    def __init__(self, n, mask):
+        if mask < 0 or mask >> n:
+            raise ValueError(f"mask {mask:#x} outside 0..{n - 1}")
+        _set_n(self, n)
+        _set_mask(self, mask)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.mask == other.mask and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.mask))
+
+    __setattr__ = __delattr__ = _read_only
 
     @classmethod
     def of(cls, n, members):
@@ -252,14 +272,37 @@ class StateSubset:
     __str__ = __repr__
 
 
+_set_n, _set_mask = (StateSubset.__dict__[name].__set__ for name in ("n", "mask"))
+
+# masks on more states than this are read from their binary digits
+_WIDE = 128
+
+
 def apply_mask(mask, images):
-    """Apply an image tuple to a raw bit mask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << images[low.bit_length() - 1]
-        mask ^= low
-    return out
+    """Apply an image tuple to a raw bit mask.
+
+    Up to ``_WIDE`` states the set bits are peeled off one at a time.  Each
+    peel copies the whole int, so a wider mask is read once as its binary
+    digits instead: ``str.find`` jumps from member to member, and the
+    result is written as digits and read back by one ``int(..., 2)``.
+    """
+    n = len(images)
+    if n <= _WIDE:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << images[low.bit_length() - 1]
+            mask ^= low
+        return out
+    digits = bin(mask)
+    top = len(digits) - 1
+    last = n - 1
+    out = bytearray(b"0" * n)
+    i = digits.find("1", 2)
+    while i >= 0:
+        out[last - images[top - i]] = 49  # ord("1")
+        i = digits.find("1", i + 1)
+    return int(out, 2)
 
 
 class TransformationSemigroup:
@@ -474,24 +517,36 @@ class TransformationSemigroup:
         )
 
 
+# stands in for an argument without a default that a call left out
+_REQUIRED = object()
+
+
 def per_monoid(func):
     """Compute ``func(S^1, *args)`` once per monoid and argument; store it on S^1.
 
     ``func`` takes a semigroup first.  The wrapper maps it to S^1 and keys
     the memo on the function and the remaining arguments, with keywords and
     defaults filled in positionally, so ``f(S)``, ``f(S^1)``, ``f(m, False)``
-    and ``f(m, extended=False)`` share one entry.  A call that raises stores
-    nothing.
+    and ``f(m, extended=False)`` share one entry.  The parameter names and
+    defaults are read once, from ``func.__code__`` and ``func.__defaults__``.
+    A call that raises stores nothing.
     """
-    params = tuple((p.name, p.default) for p in inspect.signature(func).parameters.values())[1:]
+    code = func.__code__
+    names = code.co_varnames[1 : code.co_argcount]
+    given = func.__defaults__ or ()
+    defaults = (_REQUIRED,) * (len(names) - len(given)) + given
+    params = tuple(zip(names, defaults))
 
     @functools.wraps(func)
     def memo(ts, *args, **kwargs):
-        if kwargs or len(args) < len(params):
-            args += tuple(kwargs.pop(name, default) for name, default in params[len(args) :])
-            if kwargs or inspect.Parameter.empty in args:
-                names = ", ".join(["ts"] + [name for name, _ in params])
-                raise TypeError(f"{func.__name__}() takes ({names})")
+        if kwargs or len(args) < len(names):
+            at = len(args)
+            if kwargs:
+                args += tuple([kwargs.pop(name, d) for name, d in params[at:]])
+            else:
+                args += defaults[at:]
+            if kwargs or _REQUIRED in args:
+                raise TypeError(f"{func.__name__}() takes ({', '.join(('ts',) + names)})")
         m = ts.adjoin_identity()
         key = (func, args)
         try:

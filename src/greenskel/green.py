@@ -16,10 +16,6 @@ meets.  Egg-boxes are laid out from the class lists by element index.  No
 relation is stored per pair of elements.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .core import _left_times, _times, multiplier, per_monoid
 from .order import Preorder, closure_classes, strongly_connected, transpose, union_over
 
@@ -120,14 +116,14 @@ def d_classes(m):
     return green_poset(m, "J").classes
 
 
-@dataclass
 class EggBox:
     """One D-class laid out as a grid: R-classes x L-classes of H-cells."""
 
-    members: tuple
-    cells: tuple
-    idempotent: tuple
-    col_images: tuple
+    def __init__(self, members, cells, idempotent, col_images):
+        self.members = members
+        self.cells = cells
+        self.idempotent = idempotent
+        self.col_images = col_images
 
     @property
     def shape(self):

@@ -12,10 +12,6 @@ the diagram report lists those laws beside the verdicts it computes
 itself.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .core import per_monoid
 from .green import green_preorder, green_poset
 from .order import induce_indexed, order_violation
@@ -71,7 +67,6 @@ def l_to_j(m):
     return tuple(map(green_preorder(m, "J").class_of.__getitem__, green_preorder(m, "L").firsts))
 
 
-@dataclass
 class DiagramReport:
     """Verdict sheet for the square of order surjections built from im.
 
@@ -85,10 +80,11 @@ class DiagramReport:
     collapses out of S^1, which hold by construction of the quotients.
     """
 
-    sizes: dict
-    arrows: dict
-    commutes: dict
-    preimage_unions: dict
+    def __init__(self, sizes, arrows, commutes, preimage_unions):
+        self.sizes = sizes
+        self.arrows = arrows
+        self.commutes = commutes
+        self.preimage_unions = preimage_unions
 
     @property
     def passed(self):

@@ -7,9 +7,6 @@ bottom verify that such a morphism carries the whole order apparatus of
 the source (Green preorders, image sets, subduction) onto the target's.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
@@ -18,6 +15,7 @@ from .core import (
     StateSubset,
     Transformation,
     TransformationSemigroup,
+    _read_only,
     apply_mask,
     multiplier,
 )
@@ -29,23 +27,19 @@ from .skeleton import image_set, subduction_preorder
 MAX_PARTITION_STATES = 8
 
 
-@dataclass(frozen=True)
 class TsMorphism:
     """Paired surjections (states, elements) compatible with the actions.
 
     Immutable: ``state_map`` is a tuple and ``elem_map`` a read-only copy of
     the mapping given, so the verdict ``validate`` stores on first use
-    cannot go stale.
+    cannot go stale.  Morphisms with equal fields are equal.
     """
 
-    source: TransformationSemigroup
-    target: TransformationSemigroup
-    state_map: tuple
-    elem_map: MappingProxyType
-
-    def __post_init__(self):
-        object.__setattr__(self, "state_map", tuple(self.state_map))
-        object.__setattr__(self, "elem_map", MappingProxyType(dict(self.elem_map)))
+    def __init__(self, source, target, state_map, elem_map):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "state_map", tuple(state_map))
+        object.__setattr__(self, "elem_map", MappingProxyType(dict(elem_map)))
         if len(self.state_map) != self.source.n:
             raise ValueError("state_map must cover every source state")
         for y in self.state_map:
@@ -54,6 +48,16 @@ class TsMorphism:
         missing = [s for s in self.source.elements if s not in self.elem_map]
         if missing:
             raise ValueError(f"elem_map not total, e.g. {missing[0]!r}")
+
+    def _fields(self):
+        return self.source, self.target, self.state_map, self.elem_map
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __setattr__ = __delattr__ = _read_only
 
     @cached_property
     def _verdict(self):
@@ -145,11 +149,23 @@ def _check_laws(m):
     return True, None
 
 
-@dataclass(frozen=True)
 class AdmissiblePartition:
-    """A state partition every element maps block-into-block."""
+    """A state partition every element maps block-into-block; immutable."""
 
-    blocks: tuple
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks):
+        object.__setattr__(self, "blocks", blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.blocks,))
+
+    __setattr__ = __delattr__ = _read_only
 
     def __len__(self):
         return len(self.blocks)
@@ -272,7 +288,6 @@ def quotient_ts(ts, partition):
     return target, TsMorphism(ts, target, state_map, elem_map)
 
 
-@dataclass
 class FunctorialityReport:
     """Verdicts that a morphism maps the source's order diagram onto the target's.
 
@@ -290,12 +305,13 @@ class FunctorialityReport:
     and skeleton induces, which raise unless they commute; the rest are computed.
     """
 
-    order_maps: dict
-    images_onto: bool
-    subduction: dict
-    squares: dict
-    skeleton_map: dict
-    witnesses: dict = field(default_factory=dict)
+    def __init__(self, order_maps, images_onto, subduction, squares, skeleton_map, witnesses):
+        self.order_maps = order_maps
+        self.images_onto = images_onto
+        self.subduction = subduction
+        self.squares = squares
+        self.skeleton_map = skeleton_map
+        self.witnesses = witnesses
 
     @property
     def order_maps_ok(self):

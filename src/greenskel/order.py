@@ -12,10 +12,9 @@ the adjacency lists, then one pass over their condensation with class bit
 rows, which is the form ``Preorder`` takes.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cached_property
+
+from .core import apply_mask
 
 
 class MalformedPreorderError(ValueError):
@@ -232,7 +231,6 @@ def closure_classes(succ):
     return class_of, class_rows
 
 
-@dataclass
 class ClassPoset:
     """Quotient of a preorder: equivalence classes under mutual <=, ordered.
 
@@ -242,11 +240,12 @@ class ClassPoset:
     by item, is built on first read.
     """
 
-    items: tuple
-    classes: tuple
-    rows: list
-    covers: tuple
-    item_class: list
+    def __init__(self, items, classes, rows, covers, item_class):
+        self.items = items
+        self.classes = classes
+        self.rows = rows
+        self.covers = covers
+        self.item_class = item_class
 
     @cached_property
     def class_of(self):
@@ -361,13 +360,13 @@ def is_order_isomorphism(src_rows, dst_rows, f):
     )
 
 
-@dataclass
 class InducedMap:
     """The quotient-level map induced by a preorder-respecting item map."""
 
-    source: ClassPoset
-    target: ClassPoset
-    class_map: tuple
+    def __init__(self, source, target, class_map):
+        self.source = source
+        self.target = target
+        self.class_map = class_map
 
     def apply(self, a):
         return self.class_map[self.source.class_of[a]]
@@ -439,7 +438,11 @@ def poset_isomorphic(p, q):
     Backtracking over classes, without recursion, pruned by purely
     order-theoretic signatures (chain level, cover up-degree, cover
     down-degree); class sizes are deliberately ignored since corresponding
-    classes need not have equal member counts.
+    classes need not have equal member counts.  At each depth the up-set
+    and the down-set of the class to assign, within the classes assigned
+    before it, are mapped through the assignment once; a candidate fits
+    when its own up-set and down-set within the used classes of q equal
+    them, two masked comparisons of bit rows.
     """
     np_, nq = len(p), len(q)
     if np_ != nq:
@@ -452,8 +455,13 @@ def poset_isomorphic(p, q):
         tuple(j for j in range(nq) if qsig[j] == psig[i]) for i in range(np_)
     ]
     order = sorted(range(np_), key=lambda i: (len(candidates[i]), i))
+    p_down, q_down = transpose(p.rows), transpose(q.rows)
+    # before[k]: the classes assigned above depth k, order[:k], as a mask
+    before = [0] * np_
+    for k in range(1, np_):
+        before[k] = before[k - 1] | 1 << order[k - 1]
     assignment = [-1] * np_
-    used = [False] * nq
+    used = 0
     # depth k assigns class order[k]; tried[k] counts its candidates tried
     # so far, so a return to depth k resumes after the last one
     tried = [0] * np_
@@ -461,17 +469,15 @@ def poset_isomorphic(p, q):
     while 0 <= k < np_:
         i = order[k]
         if assignment[i] >= 0:  # back from depth k + 1: undo the choice here
-            used[assignment[i]] = False
+            used ^= 1 << assignment[i]
             assignment[i] = -1
+        up = apply_mask(p.rows[i] & before[k], assignment)
+        down = apply_mask(p_down[i] & before[k], assignment)
         for j in candidates[i][tried[k]:]:
             tried[k] += 1
-            if not used[j] and all(
-                p.leq_idx(i, prev) == q.leq_idx(j, assignment[prev])
-                and p.leq_idx(prev, i) == q.leq_idx(assignment[prev], j)
-                for prev in order[:k]
-            ):
+            if not used >> j & 1 and q.rows[j] & used == up and q_down[j] & used == down:
                 assignment[i] = j
-                used[j] = True
+                used |= 1 << j
                 break
         if assignment[i] >= 0:
             k += 1

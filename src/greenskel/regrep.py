@@ -7,17 +7,12 @@ are verified here, on the orbit of the full state set under rho(G) for a
 generating set G, without building the representation.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .core import Transformation, TransformationSemigroup, apply_mask, multiplier
 from .green import ConsistencyError, green_preorder
 from .order import induce_indexed, is_order_isomorphism, poset_isomorphic
 from .skeleton import inclusion, orbit, subduction
 
 
-@dataclass
 class RegRep:
     """The base semigroup together with its right-multiplication action.
 
@@ -27,12 +22,13 @@ class RegRep:
     ``images[a]`` the image of rho(carrier[a]) as a bit mask.
     """
 
-    base: TransformationSemigroup
-    monoid: TransformationSemigroup
-    carrier: tuple
-    state_of: dict
-    gens: tuple
-    images: list
+    def __init__(self, base, monoid, carrier, state_of, gens, images):
+        self.base = base
+        self.monoid = monoid
+        self.carrier = carrier
+        self.state_of = state_of
+        self.gens = gens
+        self.images = images
 
     def rho(self, s):
         """The transformation of the state set S^1 representing s: a -> a*s."""
@@ -76,7 +72,6 @@ def right_regular(ts):
     return RegRep(ts, m, carrier, state_of, gens, images)
 
 
-@dataclass
 class CorollaryReport:
     """Witnesses that, on the regular representation, the induced maps are isos.
 
@@ -86,13 +81,14 @@ class CorollaryReport:
     isomorphisms.
     """
 
-    regrep: RegRep
-    j_map: tuple
-    l_map: tuple
-    j_is_iso: bool
-    l_is_iso: bool
-    j_found: bool
-    l_found: bool
+    def __init__(self, regrep, j_map, l_map, j_is_iso, l_is_iso, j_found, l_found):
+        self.regrep = regrep
+        self.j_map = j_map
+        self.l_map = l_map
+        self.j_is_iso = j_is_iso
+        self.l_is_iso = l_is_iso
+        self.j_found = j_found
+        self.l_found = l_found
 
     @property
     def passed(self):

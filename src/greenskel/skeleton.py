@@ -18,15 +18,10 @@ extended carrier is closed too, since singletons map to singletons.
 tuples, so ``regrep`` runs them on a representation it never builds.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .core import StateSubset, apply_mask, per_monoid
 from .order import Preorder, closure_classes
 
 
-@dataclass
 class ImageSet:
     """The distinct images of the elements of S^1, plus optional singletons.
 
@@ -35,9 +30,10 @@ class ImageSet:
     ``adjoined``.
     """
 
-    n: int
-    subsets: tuple
-    adjoined: frozenset = frozenset()
+    def __init__(self, n, subsets, adjoined=frozenset()):
+        self.n = n
+        self.subsets = subsets
+        self.adjoined = adjoined
 
     def __len__(self):
         return len(self.subsets)

@@ -19,7 +19,7 @@ from greenskel.core import (
 from greenskel.green import ConsistencyError, green_poset, green_preorder
 from greenskel.maps import im_bar, im_bar_S
 from greenskel.morphisms import TsMorphism
-from greenskel.order import MalformedPreorderError, Preorder, induce
+from greenskel.order import MalformedPreorderError, Preorder, _signatures, induce
 from greenskel.skeleton import image_set, subduction_preorder
 
 
@@ -998,3 +998,53 @@ def im_square(m):
         StateSubset.of(m.target.n, (m.state_map[x] for x in s.image())) == phi[s].image()
         for s in sm.elements
     )
+
+
+def poset_isomorphic(p, q):
+    """Oracle for ``order.poset_isomorphic``: the same search, pair by pair.
+
+    Classes are placed in the same order and candidates tried in the same
+    order, so the answer is the same; a candidate is tested against every
+    class placed before it, four ``leq_idx`` calls per pair.
+    """
+    np_, nq = len(p), len(q)
+    if np_ != nq:
+        return None
+    psig = _signatures(p)
+    qsig = _signatures(q)
+    if sorted(psig) != sorted(qsig):
+        return None
+    candidates = [
+        tuple(j for j in range(nq) if qsig[j] == psig[i]) for i in range(np_)
+    ]
+    order = sorted(range(np_), key=lambda i: (len(candidates[i]), i))
+    assignment = [-1] * np_
+    used = [False] * nq
+    # depth k assigns class order[k]; tried[k] counts its candidates tried
+    # so far, so a return to depth k resumes after the last one
+    tried = [0] * np_
+    k = 0
+    while 0 <= k < np_:
+        i = order[k]
+        if assignment[i] >= 0:  # back from depth k + 1: undo the choice here
+            used[assignment[i]] = False
+            assignment[i] = -1
+        for j in candidates[i][tried[k]:]:
+            tried[k] += 1
+            if not used[j] and all(
+                p.leq_idx(i, prev) == q.leq_idx(j, assignment[prev])
+                and p.leq_idx(prev, i) == q.leq_idx(assignment[prev], j)
+                for prev in order[:k]
+            ):
+                assignment[i] = j
+                used[j] = True
+                break
+        if assignment[i] >= 0:
+            k += 1
+            if k < np_:
+                tried[k] = 0
+        else:
+            k -= 1
+    if k < 0:
+        return None
+    return {i: assignment[i] for i in range(np_)}

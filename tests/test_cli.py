@@ -469,6 +469,20 @@ class TestMain:
         assert capsys.readouterr().err == line + "\n"
 
 
+class TestStartUp:
+    def test_import_loads_no_dataclasses_inspect_or_argparse(self):
+        # without site, nothing but greenskel's own imports can load them
+        code = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); import greenskel, greenskel.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
+
+
 class TestDeterminism:
     def test_in_process_byte_identical(self):
         doc = parse(read(NONLATTICE))

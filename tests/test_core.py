@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -26,7 +27,9 @@ from greenskel import (
     subduction_preorder,
 )
 from greenskel.catalog import chain_collapse, full_tmonoid, nonlattice, trivial
-from greenskel.cli import parse
+from greenskel.cli import InputDocument, parse
+from greenskel.core import _WIDE
+from greenskel.morphisms import AdmissiblePartition
 
 import naive
 from conftest import assert_relations_match_oracle, generator_lists
@@ -212,6 +215,85 @@ class TestStateSubset:
 
     def test_apply_mask_raw(self):
         assert apply_mask(0b101, (2, 0, 2)) == 0b100
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_apply_mask_on_both_sides_of_the_width_switch(self, data):
+        # up to _WIDE states the bits are peeled, above it read as digits
+        n = data.draw(st.sampled_from([1, 2, 4, 8, _WIDE - 1, _WIDE, _WIDE + 1, 3 * _WIDE]))
+        images = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        members = data.draw(st.sets(st.integers(0, n - 1)))
+        if data.draw(st.booleans()):
+            members = set(range(n)) - members
+        mask = sum(1 << x for x in members)
+        assert apply_mask(mask, tuple(images)) == sum({1 << images[x] for x in members})
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassTransformation:
+    images: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassStateSubset:
+    n: int
+    mask: int
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassAdmissiblePartition:
+    blocks: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassInputDocument:
+    n: int
+    generators: tuple
+    monoid: bool = True
+    extended: bool = False
+
+
+RECORDS = {
+    "Transformation": (Transformation, DataclassTransformation, ((2, 0, 0),)),
+    "StateSubset": (StateSubset, DataclassStateSubset, (3, 0b101)),
+    "AdmissiblePartition": (AdmissiblePartition, DataclassAdmissiblePartition, (((0, 2), (1,)),)),
+    "InputDocument": (InputDocument, DataclassInputDocument, (3, ((3, 1, 1),), False, True)),
+}
+
+
+class TestRecords:
+    """The immutable records refuse writes and hash as the dataclasses they were."""
+
+    @pytest.mark.parametrize("name", list(RECORDS))
+    def test_read_only(self, name):
+        cls, _, args = RECORDS[name]
+        record = cls(*args)
+        for field in (*cls.__slots__, "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, field)
+        assert record == cls(*args)
+
+    @pytest.mark.parametrize("name", list(RECORDS))
+    def test_hash_and_equality_as_dataclass(self, name):
+        cls, dataclass, args = RECORDS[name]
+        assert hash(cls(*args)) == hash(dataclass(*args))
+        assert cls(*args) == cls(*args) and not cls(*args) != cls(*args)
+        assert cls(*args) != args and cls(*args) != dataclass(*args)
+
+    @given(st.integers(1, 70).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+    def test_subset_hash_and_equality(self, case):
+        n, mask = case
+        p = StateSubset(n, mask)
+        assert hash(p) == hash(DataclassStateSubset(n, mask)) == hash((n, mask))
+        assert p == StateSubset(n, mask) and p != StateSubset(n + 1, mask)
+
+    @given(transformations())
+    def test_transformation_hash_and_equality(self, t):
+        assert hash(t) == hash(DataclassTransformation(t.images))
+        assert hash(Transformation._product(t.images)) == hash(t)
+        assert Transformation._product(t.images) == t
 
 
 class TestGenerate:

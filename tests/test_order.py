@@ -647,6 +647,23 @@ class TestIsomorphism:
         iso = poset_isomorphic(fat, thin)
         assert iso == {0: 0, 1: 1}
 
+    @given(p=posets(), data=st.data())
+    @settings(max_examples=300)
+    def test_search_matches_pairwise_oracle(self, p, data):
+        n = len(p)
+        other = p if data.draw(st.booleans()) else data.draw(posets(n))
+        q = relabeled_poset(other, data.draw(st.permutations(range(n))))
+        assert poset_isomorphic(p, q) == naive.poset_isomorphic(p, q)
+
+    def test_backtracking_matches_pairwise_oracle(self):
+        # equal signatures all round: the first choice for one class leaves
+        # a later class without a candidate, so the search backs up once
+        p = quotient(naive.preorder(range(6), [59, 34, 52, 24, 16, 32]))
+        q = quotient(naive.preorder(range(6), [11, 2, 12, 8, 62, 34]))
+        iso = poset_isomorphic(p, q)
+        assert iso == naive.poset_isomorphic(p, q) is not None
+        assert is_order_isomorphism(p.rows, q.rows, [iso[i] for i in range(6)])
+
     @given(relations(max_n=5), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_relabeling_always_isomorphic(self, case, rng):

@@ -20,7 +20,7 @@ from .core import (
     multiplier,
 )
 from .green import green_preorder
-from .maps import im_bar, im_bar_S, image_masks, l_to_j
+from .maps import im_bar, im_bar_S, im_index, image_masks, l_to_j
 from .order import NotAMorphismError, induce_indexed
 from .skeleton import image_set, subduction_preorder
 
@@ -394,25 +394,27 @@ def functoriality_check(m):
     ix = image_set(sm)
     iy = image_set(tm)
     state_map = m.state_map
-    psi_mask = {P: apply_mask(P.mask, state_map) for P in ix.subsets}
+    psi_masks = [apply_mask(P.mask, state_map) for P in ix.subsets]
     target_of = {Q.mask: Q for Q in iy.subsets}
-    images_onto = set(psi_mask.values()) == target_of.keys()
+    images_onto = set(psi_masks) == target_of.keys()
     if not images_onto:
         witnesses["images"] = sorted(
-            {StateSubset(tm.n, mask) for mask in psi_mask.values()} ^ set(iy.subsets),
+            {StateSubset(tm.n, mask) for mask in psi_masks} ^ set(iy.subsets),
             key=StateSubset.sort_key,
         )
 
     # (c) subduction transports verbatim: if psi(Q^g) = psi(Q)^phi(g) on
     # every orbit edge, induction on word length gives it for every s in
-    # S^1, so a witness s of P <= Q^s gives psi(P) <= psi(Q)^phi(s)
+    # S^1, so a witness s of P <= Q^s gives psi(P) <= psi(Q)^phi(s);
+    # psi(Q^g) is read through the edge table, one ``apply_mask`` per edge
     gens = [Transformation(g) for g in sm.generating_images()]
+    phi_gens = [phi[g].images for g in gens]
     transport = next(
         (
-            (Q, g)
-            for Q, q in psi_mask.items()
-            for g in gens
-            if apply_mask(apply_mask(Q.mask, g.images), state_map) != apply_mask(q, phi[g].images)
+            (Q, gens[k])
+            for Q, q, heads in zip(ix.subsets, psi_masks, ix.edges)
+            for k, j in enumerate(heads)
+            if psi_masks[j] != apply_mask(q, phi_gens[k])
         ),
         None,
     )
@@ -426,7 +428,7 @@ def functoriality_check(m):
     skeleton = None
     if images_onto:
         position = {mask: k for k, mask in enumerate(target_of)}
-        psi = [position[mask] for mask in psi_mask.values()]
+        psi = [position[mask] for mask in psi_masks]
         try:
             skeleton = induce_indexed(psi, subduction_preorder(sm), subduction_preorder(tm))
         except NotAMorphismError as err:
@@ -452,8 +454,7 @@ def functoriality_check(m):
         squares["L_quotient"] = True
         squares["J_quotient"] = True
         # psi(im(s)) == im(phi(s)) on masks, every element at once
-        psi_of = {P.mask: mask for P, mask in psi_mask.items()}
-        squares["im"] = list(map(psi_of.__getitem__, image_masks(sm))) == list(
+        squares["im"] = list(map(psi_masks.__getitem__, im_index(sm))) == list(
             map(image_masks(tm).__getitem__, phi_idx)
         )
         squares["L_to_J_collapse"] = all(

@@ -14,7 +14,7 @@ rows, which is the form ``Preorder`` takes.
 
 from functools import cached_property
 
-from .core import apply_mask
+from .core import _WIDE, apply_mask
 
 
 class MalformedPreorderError(ValueError):
@@ -139,13 +139,37 @@ class Preorder:
 
 
 def union_over(row, masks):
-    """The OR of ``masks[k]`` over the bits k of ``row``."""
+    """The OR of ``masks[k]`` over the bits k of ``row``.
+
+    Up to ``_WIDE`` masks the bits are peeled off ``row``; above that they
+    are read from its binary digits (``set_bits``), as ``apply_mask`` does.
+    """
     acc = 0
+    if len(masks) > _WIDE:
+        for k in set_bits(row):
+            acc |= masks[k]
+        return acc
     while row:
         low = row & -row
         acc |= masks[low.bit_length() - 1]
         row ^= low
     return acc
+
+
+def set_bits(row):
+    """The positions of the set bits of ``row``, lowest first.
+
+    The binary digits are read once, lowest first, and ``str.find`` jumps
+    from member to member: one step per member, where peeling a bit off a
+    wide int copies the whole int.
+    """
+    digits = bin(row)[:1:-1]
+    out = []
+    k = digits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = digits.find("1", k + 1)
+    return out
 
 
 def strongly_connected(succ):
@@ -290,9 +314,18 @@ class ClassPoset:
 
 
 def transpose(rows):
-    """The converse relation: bit i of row j when bit j of row i."""
+    """The converse relation: bit i of row j when bit j of row i.
+
+    Above ``_WIDE`` rows the bits of each row are read with ``set_bits``.
+    """
     n = len(rows)
     cols = [0] * n
+    if n > _WIDE:
+        for i, row in enumerate(rows):
+            bit = 1 << i
+            for j in set_bits(row):
+                cols[j] |= bit
+        return cols
     for i, row in enumerate(rows):
         rest = row
         while rest:
@@ -324,23 +357,17 @@ def order_violation(src_rows, dst_rows, f):
     pullback of f[i]'s up-set.  The lowest failing i and its lowest failing
     j are the pair a pairwise scan in index order meets first.
     """
-    fibre = {}
+    fibre = [0] * len(dst_rows)
     hit = 0
     for i, t in enumerate(f):
-        fibre[t] = fibre.get(t, 0) | 1 << i
+        fibre[t] |= 1 << i
         hit |= 1 << t
     allowed = {}
     for i, row in enumerate(src_rows):
         t = f[i]
         pulled = allowed.get(t)
         if pulled is None:
-            pulled = 0
-            rest = dst_rows[t] & hit
-            while rest:
-                low = rest & -rest
-                pulled |= fibre[low.bit_length() - 1]
-                rest ^= low
-            allowed[t] = pulled
+            pulled = allowed[t] = union_over(dst_rows[t] & hit, fibre)
         bad = row & ~pulled
         if bad:
             return i, (bad & -bad).bit_length() - 1

@@ -101,18 +101,20 @@ def corollary_check(ts):
     s -> im(rho(s)) induces maps from the J-classes to the skeleton classes
     and from the L-classes to the image sets, and each must be an order
     isomorphism.  The target carrier is the orbit of the full state set
-    under rho(G), found apart from the walk that gave the images.
+    under rho(G), found apart from the walk that gave the images; its edge
+    table gives the subduction order, so no subset is acted on again.
     """
     rr = right_regular(ts)
     m = rr.monoid
-    incl = inclusion(orbit(len(rr.carrier), rr.gens))
+    subsets, edges = orbit(len(rr.carrier), rr.gens)
+    incl = inclusion(subsets)
     position = {P.mask: i for i, P in enumerate(incl.items)}
     if not position.keys() >= set(rr.images):
         raise ConsistencyError("a walked image is not in the orbit of the full state set")
     # the orbit position of im(rho(s)) for every s, in element order
     im = [position[rr.images[a]] for a in map(rr.state_of.__getitem__, m.elements)]
     verdicts = []
-    for kind, target in (("J", subduction(incl, rr.gens)), ("L", incl)):
+    for kind, target in (("J", subduction(incl, edges)), ("L", incl)):
         bridge = induce_indexed(im, green_preorder(m, kind), target)
         source, dest = bridge.source, bridge.target
         verdicts += [

@@ -6,13 +6,22 @@ gives the skeleton: the partial order of subduction classes.
 
 The image of s is X^s, and every semigroup is closed, so I(X) is the orbit
 of the full state set X under a generating set of S^1 (the orbit method of
-Linton, Pfeiffer, Robertson and Ruskuc, 2002): no element is built.  I(X)
-is closed under the action, so Q's images {Q^s : s in S^1} are the members
-reachable from Q in the orbit graph Q -> Q^g, g in a generating set.
-Inclusion commutes with the action (P <= R gives P^s <= R^s), so
-subduction is the reflexive-transitive closure of the orbit edges and the
-inclusions together: |I(X)|*|G| subset images, not |I(X)|^2*|S^1|.  The
-extended carrier is closed too, since singletons map to singletons.
+Linton, Pfeiffer, Robertson and Ruskuc, 2002): no element is built.  The
+search applies each generator g to each subset Q once, and keeps the
+result as the orbit edge Q -> Q^g, an entry of the edge table: one
+``apply_mask`` per edge, and no other consumer acts on a subset again.
+I(X) is closed under the action, so Q's images {Q^s : s in S^1} are the
+members reachable from Q along those edges.  The extended carrier is
+closed too, since singletons map to singletons: {x}^g = {x^g}.
+
+Inclusion is read off the states: has[x], the subsets that contain x, is
+a column, and P's row of supersets is the AND of the columns of its
+members; states with equal columns share one AND, so the rows take at
+most sum |P| big-int ANDs, not |I(X)|^2 pair tests.  Inclusion commutes with
+the action (P <= R gives P^s <= R^s), so subduction is the
+reflexive-transitive closure of the inclusion covers and the reversed
+orbit edges together: |I(X)|*|G| stored edges plus the covers, with no
+subset acted on, instead of |I(X)|^2*|S^1| subset tests.
 
 ``orbit``, ``inclusion`` and ``subduction`` need only generating image
 tuples, so ``regrep`` runs them on a representation it never builds.
@@ -27,12 +36,14 @@ class ImageSet:
 
     ``subsets`` is the orbit of the full state set, sorted.  Singletons
     adjoined in extended mode never arise as images; they are listed in
-    ``adjoined``.
+    ``adjoined``.  ``edges[i][k]`` is the position of subsets[i]^g for the
+    k-th image tuple g of the monoid's ``generating_images()``.
     """
 
-    def __init__(self, n, subsets, adjoined=frozenset()):
+    def __init__(self, n, subsets, edges, adjoined=frozenset()):
         self.n = n
         self.subsets = subsets
+        self.edges = edges
         self.adjoined = adjoined
 
     def __len__(self):
@@ -46,60 +57,111 @@ class ImageSet:
 
 
 def orbit(n, gens):
-    """The orbit of the full set of n states under the image tuples ``gens``, sorted."""
+    """The orbit of the full set of n states under the image tuples ``gens``, with its edges.
+
+    Returns the subsets, sorted, and the edge table: ``edges[i][k]`` is the
+    position of subsets[i]^gens[k].  The search numbers the subsets as it
+    meets them, one ``apply_mask`` per (subset, generator), and the sort
+    renumbers the edges.
+    """
     order = [(1 << n) - 1]
-    seen = set(order)
+    found = {order[0]: 0}
+    heads = []
     for q in order:
+        row = []
         for g in gens:
             p = apply_mask(q, g)
-            if p not in seen:
-                seen.add(p)
+            j = found.setdefault(p, len(order))
+            if j == len(order):
                 order.append(p)
-    return tuple(sorted((StateSubset(n, p) for p in seen), key=StateSubset.sort_key))
+            row.append(j)
+        heads.append(row)
+    subsets = [StateSubset(n, p) for p in order]
+    rank = sorted(range(len(order)), key=[P.sort_key() for P in subsets].__getitem__)
+    position = [0] * len(rank)
+    for i, d in enumerate(rank):
+        position[d] = i
+    return (
+        tuple(map(subsets.__getitem__, rank)),
+        tuple([tuple(map(position.__getitem__, heads[d])) for d in rank]),
+    )
 
 
 def inclusion(subsets):
-    """Plain subset inclusion on distinct subsets, as a Preorder: one class per subset."""
-    masks = [P.mask for P in subsets]
-    rows = [sum(1 << j for j, q in enumerate(masks) if p & ~q == 0) for p in masks]
-    return Preorder(subsets, list(range(len(masks))), rows)
+    """Plain subset inclusion on distinct subsets, as a Preorder: one class per subset.
 
-
-def subduction(incl, gens):
-    """Subduction on the carrier of ``incl``, acted on by the image tuples ``gens``.
-
-    The closure of the inclusion edges and the reversed orbit edges Q^g -> Q.
-    ``incl`` is an ``inclusion``, whose class rows are its item rows.
+    Bit j of P's row says P <= subsets[j].  That row is the AND, over the
+    members x of P, of the column has[x]: the subsets that contain x.  The
+    columns are read off the subsets' binary digits, one string per subset,
+    and a state whose column equals another's adds no AND, so the rows
+    take one AND per (distinct column, subset containing it) rather than
+    |I|^2 pair tests.
     """
-    index = {P.mask: i for i, P in enumerate(incl.items)}
-    succ = [[j for j, bit in enumerate(bin(row)[:1:-1]) if bit == "1"] for row in incl.class_rows]
-    for q, i in index.items():
-        for g in gens:
-            succ[index[apply_mask(q, g)]].append(i)
+    width = f"0{subsets[0].n}b"
+    digits = [format(P.mask, width) for P in subsets]
+    rows = [(1 << len(subsets)) - 1] * len(subsets)
+    for column in set(map("".join, zip(*digits))):
+        has = int(column[::-1], 2)
+        j = column.find("1")
+        while j >= 0:
+            rows[j] &= has
+            j = column.find("1", j + 1)
+    return Preorder(subsets, list(range(len(subsets))), rows)
+
+
+def subduction(incl, edges):
+    """Subduction on the carrier of ``incl``, given the orbit edges on that carrier.
+
+    ``incl`` is an ``inclusion``, whose classes are its items, and
+    ``edges[i][k]`` the position of the image of item i under the k-th
+    generator.  Inclusion is the closure of its covers, so subduction is
+    the closure of those covers and the reversed orbit edges Q^g -> Q; no
+    subset is acted on.
+    """
+    succ = [[] for _ in edges]
+    for c, d in incl.covers:
+        succ[c].append(d)
+    for i, heads in enumerate(edges):
+        for j in heads:
+            succ[j].append(i)
     return Preorder(incl.items, *closure_classes(succ))
 
 
 @per_monoid
 def image_set(m):
-    """I(X): the orbit of the full set under the generating images."""
-    return ImageSet(m.n, orbit(m.n, m.generating_images()))
+    """I(X): the orbit of the full set under the generating images, with its edges."""
+    return ImageSet(m.n, *orbit(m.n, m.generating_images()))
 
 
 @per_monoid
 def extended_image_set(m):
-    """I(X) together with all singletons; extras are flagged as adjoined."""
+    """I(X) together with all singletons; extras are flagged as adjoined.
+
+    The orbit's edges are renumbered into the larger carrier, and an
+    adjoined {x} goes to {x^g}, a singleton of the carrier.
+    """
     base = image_set(m)
     adjoined = frozenset(
         s for x in range(m.n) if (s := StateSubset.singleton(m.n, x)) not in base
     )
     subsets = tuple(sorted(set(base.subsets) | adjoined, key=StateSubset.sort_key))
-    return ImageSet(m.n, subsets, adjoined)
+    position = {P.mask: i for i, P in enumerate(subsets)}
+    moved = [position[P.mask] for P in base.subsets]
+    edges = [None] * len(subsets)
+    gens = m.generating_images()
+    for P, heads in zip(base.subsets, base.edges):
+        edges[position[P.mask]] = tuple(map(moved.__getitem__, heads))
+    for P in adjoined:
+        x = P.mask.bit_length() - 1
+        edges[position[P.mask]] = tuple(position[1 << g[x]] for g in gens)
+    return ImageSet(m.n, subsets, tuple(edges), adjoined)
 
 
 @per_monoid
 def subduction_preorder(m, extended=False):
-    """The subduction relation on I(X) (or its extended variant) as a Preorder."""
-    return subduction(inclusion_preorder(m, extended), m.generating_images())
+    """The subduction relation on I(X) (or its extended variant) as a Preorder, on its stored edges."""
+    iset = extended_image_set(m) if extended else image_set(m)
+    return subduction(inclusion_preorder(m, extended), iset.edges)
 
 
 @per_monoid

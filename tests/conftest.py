@@ -15,7 +15,7 @@ from greenskel import (
     inclusion_preorder,
     subduction_preorder,
 )
-from greenskel import catalog
+from greenskel import catalog, cli, core, green, maps, morphisms, order, regrep, skeleton
 
 import naive
 
@@ -69,6 +69,25 @@ def assert_image_set_matches_scan(m):
     origin = naive.image_set_origin(m)
     assert subsets == tuple(sorted(origin, key=StateSubset.sort_key))
     assert all(P in iset for P in origin)
+
+
+def count_apply_mask(monkeypatch):
+    """Count the library's calls of ``apply_mask`` from here on.
+
+    Every module that imported it gets a counting stand-in.  Returns a
+    one-item list that holds the count.
+    """
+    calls = [0]
+    real = core.apply_mask
+
+    def counted(mask, images):
+        calls[0] += 1
+        return real(mask, images)
+
+    for module in (cli, core, green, maps, morphisms, order, regrep, skeleton):
+        if getattr(module, "apply_mask", None) is real:
+            monkeypatch.setattr(module, "apply_mask", counted)
+    return calls
 
 
 def assert_preorder_laws(p):

@@ -19,7 +19,13 @@ from greenskel.core import (
 from greenskel.green import ConsistencyError, green_poset, green_preorder
 from greenskel.maps import im_bar, im_bar_S
 from greenskel.morphisms import TsMorphism
-from greenskel.order import MalformedPreorderError, Preorder, _signatures, induce
+from greenskel.order import (
+    MalformedPreorderError,
+    Preorder,
+    _signatures,
+    closure_classes,
+    induce,
+)
 from greenskel.skeleton import image_set, subduction_preorder
 
 
@@ -286,6 +292,35 @@ def act(subset, s):
 
 def subduction(P, Q, monoid):
     return any(P <= act(Q, s) for s in monoid)
+
+
+def inclusion_rows(subsets):
+    """Inclusion on distinct library subsets by all |I|^2 pair tests.
+
+    Bit j of row i says subsets[i] <= subsets[j]: the pair loop that
+    ``skeleton.inclusion`` replaced with ANDs of per-state columns.
+    """
+    masks = [P.mask for P in subsets]
+    return [sum(1 << j for j, q in enumerate(masks) if p & ~q == 0) for p in masks]
+
+
+def subduction_by_images(subsets, gens):
+    """Subduction on a closed carrier of library subsets, every orbit edge applied anew.
+
+    The closure of every inclusion pair (``inclusion_rows``) and the
+    reversed edges Q^g -> Q, each Q^g found by its own ``apply_mask``: the
+    form ``skeleton.subduction`` had before it read the orbit's stored
+    edges and the inclusion covers.  Returns the ``Preorder``.
+    """
+    index = {P.mask: i for i, P in enumerate(subsets)}
+    succ = [
+        [j for j, bit in enumerate(bin(row)[:1:-1]) if bit == "1"]
+        for row in inclusion_rows(subsets)
+    ]
+    for q, i in index.items():
+        for g in gens:
+            succ[index[apply_mask(q, g)]].append(i)
+    return Preorder(subsets, *closure_classes(succ))
 
 
 def is_closed(elements):

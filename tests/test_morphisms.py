@@ -14,6 +14,7 @@ from greenskel import (
     admissible_partitions,
     functoriality_check,
     green_preorder,
+    image_set,
     quotient_ts,
     validate,
 )
@@ -21,7 +22,7 @@ from greenskel import morphisms
 from greenskel.catalog import chain_collapse, full_tmonoid, right_zero, trivial
 
 import naive
-from conftest import random_semigroup, sample_semigroups
+from conftest import count_apply_mask, random_semigroup, sample_semigroups
 
 
 def identity_morphism(ts):
@@ -560,6 +561,24 @@ class TestFunctoriality:
                 _, q = quotient_ts(ts, p)
                 report = functoriality_check(q)
                 assert report.passed, (name, p.blocks)
+
+    def test_one_subset_image_per_orbit_edge(self, fixtures, monkeypatch):
+        # with the image sets found, the check applies the state map to
+        # each subset of I(X) once and phi(g) to psi(Q) once per orbit edge
+        cases = []
+        for ts in list(fixtures.values()) + sample_semigroups(seed=5, count=10):
+            if ts.n > 5:
+                continue
+            for p in admissible_partitions(ts):
+                _, q = quotient_ts(ts, p)
+                assert functoriality_check(q).passed
+                sm = ts.adjoin_identity()
+                cases.append((q, len(image_set(sm)) * (1 + len(sm.generating_images()))))
+        calls = count_apply_mask(monkeypatch)
+        for q, bound in cases:
+            before = calls[0]
+            functoriality_check(q)
+            assert 0 < calls[0] - before <= bound
 
     def test_rejects_invalid_morphism(self):
         ts = chain_collapse()

@@ -1,4 +1,5 @@
 import inspect
+import random
 import sys
 
 import pytest
@@ -17,13 +18,17 @@ from greenskel import (
     subduction_preorder,
 )
 from greenskel.catalog import chain_collapse
+from greenskel.core import _WIDE
 from greenskel.order import (
     ClassPoset,
     closure_classes,
     induce_indexed,
     is_order_isomorphism,
     order_violation,
+    set_bits,
     strongly_connected,
+    transpose,
+    union_over,
 )
 
 import naive
@@ -597,6 +602,38 @@ class TestOrderViolation:
         src_rows, dst_rows, f = case
         want = naive.is_order_isomorphism(pair_set(src_rows), pair_set(dst_rows), f, len(dst_rows))
         assert is_order_isomorphism(src_rows, dst_rows, f) == want
+
+
+class TestWideRows:
+    """The row walks on both sides of the width switch against their definitions."""
+
+    @staticmethod
+    def random_rows(rng, n):
+        density = rng.choice([0.0, 0.05, 0.5, 1.0])
+        return [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+
+    @given(st.sampled_from([1, 5, _WIDE - 1, _WIDE, _WIDE + 1, 3 * _WIDE]), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_walks_match_definitions(self, n, seed):
+        rng = random.Random(seed)
+        rows = self.random_rows(rng, n)
+        bits = [[j for j in range(n) if row >> j & 1] for row in rows]
+        assert [set_bits(row) for row in rows] == bits
+        assert transpose(rows) == [
+            sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)
+        ]
+        masks = self.random_rows(rng, n)
+        for row, members in zip(rows, bits):
+            want = 0
+            for k in members:
+                want |= masks[k]
+            assert union_over(row, masks) == want
+        f = [rng.randrange(n) for _ in range(n)]
+        dst = self.random_rows(rng, n)
+        want = next(
+            ((i, j) for i in range(n) for j in bits[i] if not dst[f[i]] >> f[j] & 1), None
+        )
+        assert order_violation(rows, dst, f) == want
 
 
 class TestIsomorphism:

@@ -21,6 +21,7 @@ from greenskel.cli import build_semigroup, parse
 from greenskel.green import ConsistencyError
 
 import naive
+from conftest import count_apply_mask
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -213,6 +214,25 @@ class TestCorollary:
         report = corollary_check(trivial(1))
         assert report.passed
         assert report.j_map == (0,) and report.l_map == (0,)
+
+    def test_subduction_reads_the_orbit_edges(self, fixtures, monkeypatch):
+        # the skeleton order of the representation comes from the edge
+        # table of its orbit: no subset is acted on again
+        calls = count_apply_mask(monkeypatch)
+        real = regrep.subduction
+        inside = []
+
+        def counted(incl, edges):
+            before = calls[0]
+            out = real(incl, edges)
+            inside.append(calls[0] - before)
+            return out
+
+        monkeypatch.setattr(regrep, "subduction", counted)
+        for ts in list(fixtures.values()) + [full_tmonoid(4)]:
+            assert corollary_check(ts).passed
+        assert inside == [0] * (len(fixtures) + 1)
+        assert calls[0] > 0
 
 
 def assert_matches_oracle(ts):

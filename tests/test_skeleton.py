@@ -5,7 +5,9 @@ from hypothesis import assume, given, settings
 
 from greenskel import (
     DomainMismatchError,
+    ImageSet,
     NotClosedError,
+    Preorder,
     ResourceLimitError,
     StateSubset,
     Transformation,
@@ -28,11 +30,15 @@ from greenskel.catalog import (
     trivial,
 )
 from greenskel.cli import build_semigroup, parse
+from greenskel.core import _WIDE, apply_mask
+from greenskel.regrep import right_regular
+from greenskel.skeleton import inclusion, orbit, subduction
 import naive
 from conftest import (
     assert_image_set_matches_scan,
     assert_preorder_laws,
     assert_relations_match_oracle,
+    count_apply_mask,
     generator_lists,
 )
 from naive import SubductionWitness, subduction_leq
@@ -273,3 +279,99 @@ def test_random_semigroup_subduction_laws(gens):
     assert_relations_match_oracle(ts)
     for cls in skeleton_poset(m).classes:
         assert len({len(x) for x in cls}) == 1
+
+
+def assert_edges_are_images(iset, gens):
+    """``edges[i][k]`` is the position of subsets[i]^gens[k], for every subset and generator."""
+    position = {P.mask: i for i, P in enumerate(iset.subsets)}
+    assert len(iset.edges) == len(iset.subsets)
+    for P, heads in zip(iset.subsets, iset.edges):
+        assert list(heads) == [position[apply_mask(P.mask, g)] for g in gens], P
+
+
+def assert_matches_edge_oracles(subsets, gens, incl, subd):
+    """Inclusion and subduction on ``subsets`` against the pair loop and the per-edge images."""
+    want = Preorder(subsets, list(range(len(subsets))), naive.inclusion_rows(subsets))
+    assert (incl.class_of, incl.class_rows, incl.covers) == (
+        want.class_of,
+        want.class_rows,
+        want.covers,
+    )
+    want = naive.subduction_by_images(subsets, gens)
+    assert (subd.class_of, subd.class_rows, subd.covers) == (
+        want.class_of,
+        want.class_rows,
+        want.covers,
+    )
+
+
+def assert_carriers_match_edge_oracles(m):
+    """Edges, inclusion and subduction of the monoid ``m`` against the oracles, both carriers."""
+    gens = m.generating_images()
+    for extended in (False, True):
+        iset = extended_image_set(m) if extended else image_set(m)
+        assert_edges_are_images(iset, gens)
+        assert_matches_edge_oracles(
+            iset.subsets, gens, inclusion_preorder(m, extended), subduction_preorder(m, extended)
+        )
+
+
+def reflect_and_fold(n):
+    """A small monoid on n states whose orbit misses most singletons.
+
+    Generated by x -> n-1-x, the idempotent sending n-1 to 0, and a map
+    into four states.
+    """
+    gens = [
+        tuple(n - 1 - x for x in range(n)),
+        tuple(x if x < n - 1 else 0 for x in range(n)),
+        tuple((3 * x + 1) % min(n, 4) for x in range(n)),
+    ]
+    return TransformationSemigroup.generate(n, map(Transformation, gens)).adjoin_identity()
+
+
+class TestOrbitEdges:
+    @pytest.mark.parametrize("n", [1, 2, _WIDE - 1, _WIDE, _WIDE + 1])
+    def test_both_carriers_on_both_sides_of_the_width_switch(self, n):
+        m = reflect_and_fold(n)
+        assert_carriers_match_edge_oracles(m)
+        if n > 2:
+            assert extended_image_set(m).adjoined
+
+    def test_fixtures(self, fixtures):
+        for ts in fixtures.values():
+            assert_carriers_match_edge_oracles(ts.adjoin_identity())
+
+    def test_subduction_acts_on_no_subset(self, fixtures, monkeypatch):
+        ms = [ts.adjoin_identity() for ts in fixtures.values()] + [reflect_and_fold(_WIDE + 1)]
+        for m in ms:
+            image_set(m), extended_image_set(m)
+        calls = count_apply_mask(monkeypatch)
+        for m in ms:
+            for extended in (False, True):
+                subduction_preorder(m, extended)
+        assert calls == [0]
+
+    def test_catalan_representation_orbit(self):
+        # C_8 on its 1,430 elements: rows as wide as the carrier take the
+        # digit paths of apply_mask and of the order module
+        gens = [
+            Transformation(tuple(k + 1 if x == k else x for x in range(8))) for k in range(7)
+        ]
+        rr = right_regular(TransformationSemigroup.generate(8, gens))
+        subsets, edges = orbit(len(rr.carrier), rr.gens)
+        assert len(subsets) == len(rr.carrier) == 1430 > _WIDE
+        assert_edges_are_images(ImageSet(len(rr.carrier), subsets, edges), rr.gens)
+        incl = inclusion(subsets)
+        assert_matches_edge_oracles(subsets, rr.gens, incl, subduction(incl, edges))
+
+
+@given(generator_lists)
+@settings(max_examples=60, deadline=None)
+def test_random_edges_inclusion_and_subduction_match_oracles(gens):
+    n = gens[0].n
+    try:
+        ts = TransformationSemigroup.generate(n, gens, max_elements=100)
+    except ResourceLimitError:
+        assume(False)
+    assert_carriers_match_edge_oracles(ts.adjoin_identity())

@@ -10,7 +10,7 @@ from .core import (
     apply_mask,
 )
 from .green import ConsistencyError, EggBox, d_classes, eggboxes, green_poset, green_preorder
-from .maps import DiagramReport, im_bar, im_bar_S, im_map, verify_diagram
+from .maps import DiagramReport, im_bar, im_bar_S, verify_diagram
 from .morphisms import (
     AdmissiblePartition,
     FunctorialityReport,
@@ -26,7 +26,6 @@ from .order import (
     MalformedPreorderError,
     NotAMorphismError,
     Preorder,
-    induce,
     lattice_violation,
     poset_isomorphic,
     quotient,
@@ -74,11 +73,9 @@ __all__ = [
     "green_preorder",
     "im_bar",
     "im_bar_S",
-    "im_map",
     "image_set",
     "inclusion_poset",
     "inclusion_preorder",
-    "induce",
     "lattice_violation",
     "poset_isomorphic",
     "quotient",

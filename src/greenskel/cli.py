@@ -1,6 +1,6 @@
 """Command line front end: parse a semigroup description, analyze, report, draw.
 
-Input grammar (UTF-8, LF or CRLF, `#` starts a comment):
+Input grammar (UTF-8, optional byte-order mark, LF or CRLF, `#` starts a comment):
 
     states: 3
     gen: 1 3 3        # one generator per line, 1-based images
@@ -27,7 +27,7 @@ from .core import (
 from .green import ConsistencyError, d_classes, eggboxes, green_poset
 from .maps import im_bar_S, verify_diagram
 from .morphisms import admissible_partitions, functoriality_check, quotient_ts, validate
-from .order import MalformedPreorderError, NotAMorphismError, lattice_violation
+from .order import MalformedPreorderError, NotAMorphismError, lattice_violation, order_violation
 from .regrep import corollary_check
 from .skeleton import (
     extended_image_set,
@@ -102,8 +102,7 @@ def parse(text):
     """Parse a semigroup description; errors carry the offending line number."""
     n = None
     generators = []
-    monoid = True
-    extended = False
+    flags = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,17 +135,17 @@ def parse(text):
                 if not 1 <= v <= n:
                     raise InputError(f"line {lineno}: entry {v} outside 1..{n}")
             generators.append(values)
-        elif key == "monoid":
-            monoid = _parse_bool(rest, lineno)
-        elif key == "extended":
-            extended = _parse_bool(rest, lineno)
+        elif key in ("monoid", "extended"):
+            if key in flags:
+                raise InputError(f"line {lineno}: {key!r} given twice")
+            flags[key] = _parse_bool(rest, lineno)
         else:
             raise InputError(f"line {lineno}: unknown key {key!r}")
     if n is None:
         raise InputError("missing 'states:' line")
     if not generators:
         raise InputError("no generators given")
-    return InputDocument(n, tuple(generators), monoid, extended)
+    return InputDocument(n, tuple(generators), flags.get("monoid", True), flags.get("extended", False))
 
 
 def serialize(doc):
@@ -494,14 +493,12 @@ def verification_lines(bundle):
         len({len(p) for p in cls}) == 1 for cls in skeleton_poset(m).classes
     )
     checks.append(("mutual subduction implies equal size", same_size))
-    incl = inclusion_preorder(m)
+    # inclusion has one class per subset of I(X), so its class rows are its item rows
     subd = subduction_preorder(m)
-    embeds = all(
-        incl.rows[i] & ~subd.rows[i] == 0 for i in range(len(incl))
-    )
+    embeds = order_violation(inclusion_preorder(m).class_rows, subd.class_rows, subd.class_of) is None
     checks.append(("inclusion embeds into subduction", embeds))
     sq = skeleton_poset(m)
-    full_class = sq.class_of[StateSubset.full(m.n)]
+    full_class = sq.item_class[sq.items.index(StateSubset.full(m.n))]
     checks.append(("full state set is the unique skeleton maximum", sq.maximal() == (full_class,)))
     # run() also built the memoised d_classes(m), which raises
     # ConsistencyError unless the D and J partitions agree
@@ -557,7 +554,7 @@ def main(argv=None):
         if args.max_elements < 1:
             raise InputError(f"--max-elements must be at least 1, got {args.max_elements}")
         try:
-            with open(args.input, encoding="utf-8") as fh:
+            with open(args.input, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as err:
             raise InputError(f"cannot read {args.input}: {err}") from None

@@ -39,12 +39,6 @@ def im_index(m):
 
 
 @per_monoid
-def im_map(m):
-    """Element -> image subset, for every element of S^1: the subsets of I(X) itself."""
-    return dict(zip(m.elements, map(image_set(m).subsets.__getitem__, im_index(m))))
-
-
-@per_monoid
 def im_bar(m):
     """Induced surjection S^1/L -> (I(X), inclusion), laws re-verified."""
     out = induce_indexed(im_index(m), green_preorder(m, "L"), inclusion_preorder(m))
@@ -155,9 +149,9 @@ def verify_diagram(ts):
     ibar = im_bar(m)
     ibar_s = im_bar_S(m)
 
-    # vertical collapses: L-class -> J-class and image set -> subduction class
+    # vertical collapses L -> J and I(X) -> skeleton; inclusion's classes are its subsets
     lj = l_to_j(m)
-    i_to_s = tuple(sq.class_of[iq.classes[c][0]] for c in range(len(iq)))
+    i_to_s = tuple(sq.item_class)
 
     arrows = {
         # a Preorder's class rows are exact: every item lies in its

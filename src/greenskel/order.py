@@ -3,8 +3,8 @@
 A ``Preorder`` is held on its classes: the class of every item plus the
 order of the classes, one bit row per class.  Its constructor checks the
 laws on those classes and finds the covers of the class order with the
-same union, and ``quotient`` takes them as they are.  Its item-level rows
-are derived only when read.
+same union, and ``quotient`` takes them as they are.  Every query is
+answered on the classes.
 
 A relation given by its generating edges, such as a Cayley graph, is
 closed by ``closure_classes``: Tarjan's strongly connected components of
@@ -37,8 +37,7 @@ class Preorder:
     ``class_of[j]``: bit d of ``class_rows[c]`` says class c <= class d.
     ``firsts[c]`` is the index of class c's least member, and ``covers``
     lists the pairs (c, d), sorted, where d is strictly above c with no
-    class between.  Item-level ``rows`` and the index are derived on first
-    use.
+    class between.
 
     The constructor decides the laws, so every Preorder is a preorder: the
     items are distinct (else ValueError), and MalformedPreorderError is
@@ -107,30 +106,22 @@ class Preorder:
                 rest ^= low
         self.covers = tuple(covers)
 
-    @cached_property
-    def rows(self):
-        """Bit j of ``rows[i]`` says items[i] <= items[j]: every member of every class above i's."""
+    def members(self):
+        """Bit i of ``members()[c]`` says items[i] lies in class c."""
         members = [0] * len(self.class_rows)
         for i, c in enumerate(self.class_of):
             members[c] |= 1 << i
+        return members
+
+    @cached_property
+    def rows(self):
+        """Item rows, N² bits; only perfbench/tracing.py reads them, to count relation pairs."""
+        members = self.members()
         up = [union_over(row, members) for row in self.class_rows]
         return [up[c] for c in self.class_of]
 
-    @cached_property
-    def _index(self):
-        return {a: i for i, a in enumerate(self.items)}
-
     def __len__(self):
         return len(self.items)
-
-    def index(self, a):
-        return self._index[a]
-
-    def leq_idx(self, i, j):
-        return self.rows[i] >> j & 1 == 1
-
-    def leq(self, a, b):
-        return self.leq_idx(self._index[a], self._index[b])
 
     @cached_property
     def poset(self):
@@ -260,8 +251,8 @@ class ClassPoset:
 
     Classes are numbered by their least member's position in the source
     carrier, and each class is named by that least member.  ``item_class``
-    lists the class of every item by index; ``class_of``, the same keyed
-    by item, is built on first read.
+    lists the class of every item by index, and bit d of ``rows[c]`` says
+    class c <= class d.
     """
 
     def __init__(self, items, classes, rows, covers, item_class):
@@ -271,24 +262,11 @@ class ClassPoset:
         self.covers = covers
         self.item_class = item_class
 
-    @cached_property
-    def class_of(self):
-        return dict(zip(self.items, self.item_class))
-
     def __len__(self):
         return len(self.classes)
 
-    def leq_idx(self, i, j):
-        return self.rows[i] >> j & 1 == 1
-
-    def leq(self, a, b):
-        return self.leq_idx(self.class_of[a], self.class_of[b])
-
     def rep(self, ci):
         return self.classes[ci][0]
-
-    def strict_up_mask(self, ci):
-        return self.rows[ci] & ~(1 << ci)
 
     def levels(self):
         """Longest-chain height of every class above the minimal ones.
@@ -306,11 +284,7 @@ class ClassPoset:
         return level
 
     def maximal(self):
-        return tuple(i for i in range(len(self.classes)) if self.strict_up_mask(i) == 0)
-
-    def minimal(self):
-        up = transpose(self.rows)
-        return tuple(i for i in range(len(self.classes)) if up[i] & ~(1 << i) == 0)
+        return tuple(i for i, row in enumerate(self.rows) if row & ~(1 << i) == 0)
 
 
 def transpose(rows):
@@ -395,9 +369,6 @@ class InducedMap:
         self.target = target
         self.class_map = class_map
 
-    def apply(self, a):
-        return self.class_map[self.source.class_of[a]]
-
     def is_surjective(self):
         return len(set(self.class_map)) == len(self.target)
 
@@ -407,19 +378,6 @@ class InducedMap:
         for ci, cj in enumerate(self.class_map):
             out[cj].append(ci)
         return out
-
-
-def induce(f, src, dst):
-    """Quotient-level map of a preorder morphism given as a dict of items.
-
-    ``f`` must map every source item to a target item (else ValueError);
-    the laws are decided by ``induce_indexed`` on the target index of every
-    source item.
-    """
-    missing = [a for a in src.items if a not in f]
-    if missing:
-        raise ValueError(f"map not total on the source carrier, e.g. {missing[0]!r}")
-    return induce_indexed(list(map(dst.index, map(f.__getitem__, src.items))), src, dst)
 
 
 def induce_indexed(image, src, dst):
@@ -436,10 +394,12 @@ def induce_indexed(image, src, dst):
     square ``class_map[class(a)] == class(f(a))`` for every item, and "the
     preimage of every target class is a union of source classes".
 
-    When either fails, the item-level check names the first offending pair
-    and NotAMorphismError carries it.  Only posets planted by hand, whose
-    class rows disagree with their items, can fail (1) or (2) with no such
-    pair; that raises AssertionError.
+    When either fails, ``order_violation`` names the first offending pair
+    of items from the preorders' own classes, one source item row at a time
+    against the target class of each image, and NotAMorphismError carries
+    it.  Only posets planted by hand, whose class rows disagree with their
+    preorders, can fail (1) or (2) with no such pair; that raises
+    AssertionError.
     """
     sp = src.poset
     tp = dst.poset
@@ -447,7 +407,9 @@ def induce_indexed(image, src, dst):
     class_map = tuple(map(lands.__getitem__, src.firsts))
     split = list(map(class_map.__getitem__, sp.item_class)) != lands
     if split or order_violation(sp.rows, tp.rows, class_map) is not None:
-        found = order_violation(src.rows, dst.rows, image)
+        members = src.members()
+        item_rows = (union_over(src.class_rows[c], members) for c in src.class_of)
+        found = order_violation(item_rows, dst.class_rows, list(map(dst.class_of.__getitem__, image)))
         if found is not None:
             raise NotAMorphismError((src.items[found[0]], src.items[found[1]]))
         if split:

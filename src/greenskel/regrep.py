@@ -7,7 +7,7 @@ are verified here, on the orbit of the full state set under rho(G) for a
 generating set G, without building the representation.
 """
 
-from .core import Transformation, TransformationSemigroup, apply_mask, multiplier
+from .core import apply_mask, multiplier
 from .green import ConsistencyError, green_preorder
 from .order import induce_indexed, is_order_isomorphism, poset_isomorphic
 from .skeleton import inclusion, orbit, subduction
@@ -29,10 +29,6 @@ class RegRep:
         self.state_of = state_of
         self.gens = gens
         self.images = images
-
-    def rho(self, s):
-        """The transformation of the state set S^1 representing s: a -> a*s."""
-        return Transformation(tuple(self.state_of[a * s] for a in self.carrier))
 
 
 def right_regular(ts):

@@ -24,7 +24,7 @@ from greenskel.order import (
     Preorder,
     _signatures,
     closure_classes,
-    induce,
+    induce_indexed,
 )
 from greenskel.skeleton import image_set, subduction_preorder
 
@@ -272,7 +272,9 @@ def corollary_maps(ts):
     m, mt = ts.adjoin_identity(), rep.adjoin_identity()
     maps = []
     for kind, rep_bar in (("J", im_bar_S), ("L", im_bar)):
-        bridge = induce(rho, green_preorder(m, kind), green_preorder(mt, kind))
+        src, dst = green_preorder(m, kind), green_preorder(mt, kind)
+        at = {t: i for i, t in enumerate(dst.items)}
+        bridge = induce_indexed([at[rho[s]] for s in src.items], src, dst)
         rep_map = rep_bar(mt).class_map
         maps.append(tuple(rep_map[c] for c in bridge.class_map))
     return tuple(maps)
@@ -460,6 +462,17 @@ def functoriality_subduction(m):
     }
     subduction = {"verbatim": verbatim, "target_relation": target_witness is None}
     return subduction, skeleton_map, target_witness
+
+
+def leq(p, a, b):
+    """a <= b between two items of a library ``Preorder``, read at their classes."""
+    c, d = p.class_of[p.items.index(a)], p.class_of[p.items.index(b)]
+    return p.class_rows[c] >> d & 1 == 1
+
+
+def class_of(q):
+    """The class of every item of a library ``ClassPoset``, keyed by item."""
+    return dict(zip(q.items, q.item_class))
 
 
 def relation(p):
@@ -972,19 +985,21 @@ def eggboxes(ts):
 
     The library's layout before it read the class lists by index: each
     J-class's members are bucketed by R-class and then by L-class through
-    the posets' ``class_of`` dicts, idempotency is ``Transformation.is_idempotent``
-    and each column's image is its L-class's first member's ``image()``.
+    dicts keyed by element (``class_of``), idempotency is
+    ``Transformation.is_idempotent`` and each column's image is its
+    L-class's first member's ``image()``.
     """
     m = ts.adjoin_identity()
     lq, rq = green_poset(m, "L"), green_poset(m, "R")
+    l_of, r_of = class_of(lq), class_of(rq)
     out = []
     for cls in green_poset(m, "J").classes:
         member_set = set(cls)
-        row_ids = sorted({rq.class_of[t] for t in cls})
-        col_ids = sorted({lq.class_of[t] for t in cls})
+        row_ids = sorted({r_of[t] for t in cls})
+        col_ids = sorted({l_of[t] for t in cls})
         cells = []
         for ri in row_ids:
-            buckets = [[t for t in rq.classes[ri] if t in member_set and lq.class_of[t] == ci] for ci in col_ids]
+            buckets = [[t for t in rq.classes[ri] if t in member_set and l_of[t] == ci] for ci in col_ids]
             if not all(buckets):
                 raise ConsistencyError("empty H-cell inside a D-class")
             cells.append(tuple(map(tuple, buckets)))
@@ -999,13 +1014,15 @@ def induce_by_items(f, src, dst):
 
     The library's dict path before it decided the laws on indices: the
     target class of every member of every source class, looked up through
-    the posets' ``class_of`` dicts, class by class, then the class rows.
-    Returns ``("map", class_map)`` when f respects both preorders, else
-    ``("witness", (a, b))`` with the first pair of a pairwise scan.
+    a dict keyed by item (``class_of``), class by class, then the class
+    rows.  Returns ``("map", class_map)`` when f respects both preorders,
+    else ``("witness", (a, b))`` with the first pair of a pairwise scan
+    over the item rows of ``class_item_rows``.
     """
     sp, tp = src.poset, dst.poset
-    class_map = tuple(tp.class_of[f[cls[0]]] for cls in sp.classes)
-    split = any(tp.class_of[f[a]] != class_map[c] for c, cls in enumerate(sp.classes) for a in cls)
+    t_of = class_of(tp)
+    class_map = tuple(t_of[f[cls[0]]] for cls in sp.classes)
+    split = any(t_of[f[a]] != class_map[c] for c, cls in enumerate(sp.classes) for a in cls)
     broken = any(
         sp.rows[c] >> d & 1 and not tp.rows[class_map[c]] >> class_map[d] & 1
         for c in range(len(sp))
@@ -1013,9 +1030,12 @@ def induce_by_items(f, src, dst):
     )
     if not split and not broken:
         return "map", class_map
-    for a in src.items:
-        for b in src.items:
-            if src.leq(a, b) and not dst.leq(f[a], f[b]):
+    src_rows = class_item_rows(src.class_of, src.class_rows)
+    dst_rows = class_item_rows(dst.class_of, dst.class_rows)
+    at = {b: j for j, b in enumerate(dst.items)}
+    for i, a in enumerate(src.items):
+        for j, b in enumerate(src.items):
+            if src_rows[i] >> j & 1 and not dst_rows[at[f[a]]] >> at[f[b]] & 1:
                 return "witness", (a, b)
     return "planted", None
 
@@ -1040,7 +1060,7 @@ def poset_isomorphic(p, q):
 
     Classes are placed in the same order and candidates tried in the same
     order, so the answer is the same; a candidate is tested against every
-    class placed before it, four ``leq_idx`` calls per pair.
+    class placed before it, four class-row lookups per pair.
     """
     np_, nq = len(p), len(q)
     if np_ != nq:
@@ -1067,8 +1087,8 @@ def poset_isomorphic(p, q):
         for j in candidates[i][tried[k]:]:
             tried[k] += 1
             if not used[j] and all(
-                p.leq_idx(i, prev) == q.leq_idx(j, assignment[prev])
-                and p.leq_idx(prev, i) == q.leq_idx(assignment[prev], j)
+                p.rows[i] >> prev & 1 == q.rows[j] >> assignment[prev] & 1
+                and p.rows[prev] >> i & 1 == q.rows[assignment[prev]] >> j & 1
                 for prev in order[:k]
             ):
                 assignment[i] = j

@@ -11,14 +11,20 @@ from greenskel import (
     ConsistencyError,
     MalformedPreorderError,
     NotAMorphismError,
+    Preorder,
     ResourceLimitError,
     Transformation,
     green_preorder,
+    inclusion_preorder,
+    subduction_preorder,
+    verify_diagram,
 )
+from greenskel.catalog import all_fixtures
 from greenskel.cli import (
     ALL_TASKS,
     DEFAULT_TASKS,
     DOT_KINDS,
+    AnalysisBundle,
     InputDocument,
     InputError,
     MissingAnalysisError,
@@ -33,9 +39,12 @@ from greenskel.cli import (
 )
 import greenskel.cli as cli
 
+import naive
+
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 CHAIN = str(INPUTS / "chain_collapse.tsg")
 NONLATTICE = str(INPUTS / "nonlattice.tsg")
+T6 = "states: 6\ngen: 2 3 4 5 6 1\ngen: 2 1 3 4 5 6\ngen: 1 1 3 4 5 6\n"
 
 
 def read(path):
@@ -63,6 +72,53 @@ def input_lines():
         "{}:{}".format, st.sampled_from(["states", "gen", "monoid", "extended", "Gen ", ""]), value
     )
     return st.lists(st.one_of(st.text(max_size=20), keyed), max_size=8)
+
+
+@st.composite
+def embedding_cases(draw):
+    """A partial order with one class per item, and a preorder on the same items.
+
+    The first stands for inclusion and the second for subduction; about
+    half the time the second holds the first's pairs, so both verdicts come up.
+    """
+    n = draw(st.integers(1, 6))
+    pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10)
+    upward = [(min(a, b), max(a, b)) for a, b in draw(pairs)]
+    other = draw(pairs) + (upward if draw(st.booleans()) else [])
+
+    def closed(edges):
+        rows = [0] * n
+        for a, b in edges:
+            rows[a] |= 1 << b
+        return naive.transitive_closure_rows(rows)
+
+    return naive.preorder(range(n), closed(upward)), naive.preorder(range(n), closed(other))
+
+
+def embeds_by_items(incl, subd):
+    """Is every item row of ``incl`` inside the same item's row of ``subd``?"""
+    rows = zip(
+        naive.class_item_rows(incl.class_of, incl.class_rows),
+        naive.class_item_rows(subd.class_of, subd.class_rows),
+    )
+    return all(a & ~b == 0 for a, b in rows)
+
+
+def embedding_line(bundle, incl=None, subd=None):
+    """The "inclusion embeds into subduction" verdict of ``verification_lines``, with the preorders it reads replaced."""
+    with pytest.MonkeyPatch.context() as mp:
+        if incl is not None:
+            mp.setattr(cli, "inclusion_preorder", lambda m: incl)
+        if subd is not None:
+            mp.setattr(cli, "subduction_preorder", lambda m: subd)
+        lines, _ = verification_lines(bundle)
+    verdicts = [line for line in lines if line.startswith("inclusion embeds into subduction: ")]
+    assert len(verdicts) == 1
+    return verdicts[0].endswith(": ok")
+
+
+def discrete(items):
+    return Preorder(items, list(range(len(items))), [1 << i for i in range(len(items))])
 
 
 class TestParse:
@@ -97,6 +153,8 @@ class TestParse:
             ("states: 2\nrank: 4\n", "line 2: unknown key 'rank'"),
             ("states: 2\nmonoid: maybe\ngen: 1 1\n", "line 2: expected true or false"),
             ("states: 2\njust words\n", "line 2: expected 'key: value'"),
+            ("states: 2\nmonoid: true\ngen: 1 1\nmonoid: false\n", "line 4: 'monoid' given twice"),
+            ("states: 2\nextended: no\nextended: no\ngen: 1 1\n", "line 3: 'extended' given twice"),
             ("# nothing\n", "missing 'states:'"),
             ("states: 2\n", "no generators"),
         ],
@@ -334,6 +392,41 @@ class TestVerificationLines:
             assert len(lines) == 8
             assert all(line.endswith(": ok") for line in lines[:-1])
 
+    def test_full_t6_derives_no_item_rows(self):
+        # every check reads the preorders on their classes
+        bundle = run(parse(T6), DEFAULT_TASKS)
+        lines, ok = verification_lines(bundle)
+        assert ok and "inclusion embeds into subduction: ok" in lines
+        preorders = [v for v in bundle.monoid._memo.values() if isinstance(v, Preorder)]
+        assert len(preorders) == 6  # R, L, J, H, inclusion, subduction
+        assert not any("rows" in vars(p) for p in preorders)
+
+    def test_embedding_failure_is_reported(self, monkeypatch):
+        # a discrete subduction on the same image sets misses the inclusions
+        bundle = run(parse(read(CHAIN)), DEFAULT_TASKS)
+        monkeypatch.setattr(cli, "subduction_preorder", lambda m: discrete(inclusion_preorder(m).items))
+        lines, ok = verification_lines(bundle)
+        assert "inclusion embeds into subduction: FAIL" in lines
+        assert not ok and lines[-1] == "verification: FAIL"
+
+    def test_embedding_matches_item_rows_on_catalog(self):
+        for name, ts in all_fixtures().items():
+            m = ts.adjoin_identity()
+            bundle = AnalysisBundle(None, ts, m, DEFAULT_TASKS)
+            bundle.diagram = verify_diagram(m)
+            incl, subd = inclusion_preorder(m), subduction_preorder(m)
+            assert embedding_line(bundle) is embeds_by_items(incl, subd) is True, name
+            bare = discrete(incl.items)
+            assert embedding_line(bundle, subd=bare) is embeds_by_items(incl, bare), name
+
+    @given(embedding_cases())
+    @settings(max_examples=200, deadline=None)
+    @example((discrete((0, 1)), discrete((0, 1))))
+    def test_embedding_matches_item_rows(self, case):
+        incl, subd = case
+        bundle = run(parse("states: 1\ngen: 1\n"), DEFAULT_TASKS)
+        assert embedding_line(bundle, incl, subd) == embeds_by_items(incl, subd)
+
 
 class TestMain:
     def test_analyze_ok(self, capsys):
@@ -382,6 +475,17 @@ class TestMain:
         bad.write_text("states: 2\ngen: 9 9\n")
         assert cli.main(["analyze", "--input", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, eol):
+        text = eol.join(["states: 3", "gen: 1 3 3", "gen: 3 1 3", ""])
+        plain, marked = tmp_path / "plain.tsg", tmp_path / "marked.tsg"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert cli.main(["analyze", "--input", str(plain)]) == 0
+        want = capsys.readouterr()
+        assert cli.main(["analyze", "--input", str(marked)]) == 0
+        assert capsys.readouterr() == want
 
     def test_undecodable_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsg"

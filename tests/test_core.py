@@ -19,7 +19,6 @@ from greenskel import (
     green_preorder,
     im_bar,
     im_bar_S,
-    im_map,
     image_set,
     inclusion_poset,
     inclusion_preorder,
@@ -29,6 +28,7 @@ from greenskel import (
 from greenskel.catalog import chain_collapse, full_tmonoid, nonlattice, trivial
 from greenskel.cli import InputDocument, parse
 from greenskel.core import _WIDE
+from greenskel.maps import im_index, image_masks
 from greenskel.morphisms import AdmissiblePartition
 
 import naive
@@ -576,7 +576,8 @@ SPELLINGS = {
     "d_classes": [d_classes, lambda ts: d_classes(ts=ts)],
     "image_set": [image_set],
     "extended_image_set": [extended_image_set],
-    "im_map": [im_map],
+    "im_index": [im_index],
+    "image_masks": [image_masks],
     "im_bar": [im_bar],
     "im_bar_S": [im_bar_S],
     **{

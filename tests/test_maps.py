@@ -5,7 +5,6 @@ from greenskel import (
     green_preorder,
     im_bar,
     im_bar_S,
-    im_map,
     image_set,
     skeleton_poset,
     subduction_preorder,
@@ -36,16 +35,16 @@ class TestImRespectsOrders:
         elements = {t.one_based: t for t in m}
         t1, t2 = elements[(1, 3, 3)], elements[(3, 1, 3)]
         jp = green_preorder(m, "J")
-        assert jp.leq(t2, t1)
+        assert naive.leq(jp, t2, t1)
         assert t1.image() == t2.image()
         sp = subduction_preorder(m)
-        assert sp.leq(t2.image(), t1.image()) and sp.leq(t1.image(), t2.image())
+        assert naive.leq(sp, t2.image(), t1.image()) and naive.leq(sp, t1.image(), t2.image())
 
     def test_vacuous_for_incomparable_pair(self):
         m = hidden_relation()
         a, b = hidden_relation_pair()
         jp = green_preorder(m, "J")
-        assert not jp.leq(a, b) and not jp.leq(b, a)
+        assert not naive.leq(jp, a, b) and not naive.leq(jp, b, a)
         assert all(verify_diagram(m).arrows["im"].values())
 
 
@@ -58,10 +57,10 @@ class TestInducedMaps:
         # the L-classes of both rank-2 elements land on {1,3}
         elements = {t.one_based: t for t in m}
         t1, t2 = elements[(1, 3, 3)], elements[(3, 1, 3)]
-        lq = out.source
-        assert lq.class_of[t1] != lq.class_of[t2]
-        c1 = out.class_map[lq.class_of[t1]]
-        c2 = out.class_map[lq.class_of[t2]]
+        l_of = naive.class_of(out.source)
+        assert l_of[t1] != l_of[t2]
+        c1 = out.class_map[l_of[t1]]
+        c2 = out.class_map[l_of[t2]]
         assert c1 == c2
         assert out.target.classes[c1][0].one_based == (1, 3)
         # distinct left ideals despite the equal image
@@ -124,9 +123,9 @@ class TestDiagram:
             jq = green_poset(m, "J")
             sq = skeleton_poset(m)
             ibs = im_bar_S(m)
-            f = im_map(m)
+            j_of, s_of = naive.class_of(jq), naive.class_of(sq)
             for t in m.elements:
-                assert ibs.class_map[jq.class_of[t]] == sq.class_of[f[t]]
+                assert ibs.class_map[j_of[t]] == s_of[t.image()]
 
     def test_inputs_match_oracle(self):
         paths = sorted(INPUTS.glob("*.tsg"))
@@ -157,10 +156,10 @@ class TestHiddenRelationRegression:
         a, b = hidden_relation_pair()
         jq = green_poset(m, "J")
         sq = skeleton_poset(m)
-        ca, cb = jq.class_of[a], jq.class_of[b]
-        assert not jq.leq_idx(ca, cb) and not jq.leq_idx(cb, ca)
-        sa, sb = sq.class_of[a.image()], sq.class_of[b.image()]
-        assert sa != sb and sq.leq_idx(sa, sb) and not sq.leq_idx(sb, sa)
+        ca, cb = naive.class_of(jq)[a], naive.class_of(jq)[b]
+        assert not jq.rows[ca] >> cb & 1 and not jq.rows[cb] >> ca & 1
+        sa, sb = naive.class_of(sq)[a.image()], naive.class_of(sq)[b.image()]
+        assert sa != sb and sq.rows[sa] >> sb & 1 and not sq.rows[sb] >> sa & 1
         # and the fibers of those image classes contain the classes of a, b
         ibs = im_bar_S(m)
         assert ibs.class_map[ca] == sa and ibs.class_map[cb] == sb

@@ -200,11 +200,7 @@ class AnalysisBundle:
             return False
         if self.corollary is not None and not self.corollary.passed:
             return False
-        if self.functorial is not None:
-            for entry in self.functorial:
-                if not entry["valid"] or not entry["report"].passed:
-                    return False
-        return True
+        return all(entry["valid"] and entry["report"].passed for entry in self.functorial or ())
 
 
 def run(doc, tasks, max_elements=1_000_000):
@@ -261,11 +257,8 @@ def report_text(bundle):
         f"monoid elements: {len(m)}",
     ]
     if bundle.green is not None:
-        counts = {kind: len(bundle.green[kind]) for kind in ("R", "L", "J", "H")}
-        lines.append(
-            "green classes: "
-            + " ".join(f"{kind}={counts[kind]}" for kind in ("R", "L", "J", "H"))
-        )
+        counts = " ".join(f"{kind}={len(bundle.green[kind])}" for kind in ("R", "L", "J", "H"))
+        lines.append(f"green classes: {counts}")
         lines.append(f"D-classes: {len(bundle.dclasses)} (D = J)")
         for i, box in enumerate(bundle.boxes):
             rows, cols = box.shape
@@ -514,8 +507,11 @@ def verification_lines(bundle):
 
 
 def _write_out(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err}") from None
 
 
 def main(argv=None):

@@ -17,7 +17,7 @@ relation is stored per pair of elements.
 """
 
 from .core import _left_times, _times, multiplier, per_monoid
-from .order import Preorder, closure_classes, strongly_connected, transpose, union_over
+from .order import Preorder, closure_classes, fibres, strongly_connected, transpose, union_over
 
 
 class ConsistencyError(RuntimeError):
@@ -49,11 +49,8 @@ def _h_classes(lp, rp):
     """
     number = {}
     class_of = [number.setdefault(pair, len(number)) for pair in zip(lp.class_of, rp.class_of)]
-    by_l = [0] * len(lp.class_rows)
-    by_r = [0] * len(rp.class_rows)
-    for h, (l, r) in enumerate(number):
-        by_l[l] |= 1 << h
-        by_r[r] |= 1 << h
+    by_l = fibres([l for l, _ in number], len(lp.class_rows))
+    by_r = fibres([r for _, r in number], len(rp.class_rows))
     up_l = [union_over(row, by_l) for row in lp.class_rows]
     up_r = [union_over(row, by_r) for row in rp.class_rows]
     return class_of, [up_l[l] & up_r[r] for l, r in number]

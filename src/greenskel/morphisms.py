@@ -217,16 +217,14 @@ def admissible_partitions(ts):
     gens = ts.generating_images()
     out = []
     for blocks in _partitions(ts.n):
-        block_of = {}
-        for b, block in enumerate(blocks):
-            for x in block:
-                block_of[x] = b
+        partition = AdmissiblePartition(blocks)
+        block_of = partition.block_index()
         if all(
             len({block_of[g[x]] for x in block}) == 1
             for g in gens
             for block in blocks
         ):
-            out.append(AdmissiblePartition(blocks))
+            out.append(partition)
     return out
 
 

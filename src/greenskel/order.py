@@ -106,17 +106,10 @@ class Preorder:
                 rest ^= low
         self.covers = tuple(covers)
 
-    def members(self):
-        """Bit i of ``members()[c]`` says items[i] lies in class c."""
-        members = [0] * len(self.class_rows)
-        for i, c in enumerate(self.class_of):
-            members[c] |= 1 << i
-        return members
-
     @cached_property
     def rows(self):
         """Item rows, N² bits; only perfbench/tracing.py reads them, to count relation pairs."""
-        members = self.members()
+        members = fibres(self.class_of, len(self.class_rows))
         up = [union_over(row, members) for row in self.class_rows]
         return [up[c] for c in self.class_of]
 
@@ -145,6 +138,27 @@ def union_over(row, masks):
         acc |= masks[low.bit_length() - 1]
         row ^= low
     return acc
+
+
+def fibres(labels, count):
+    """Bit i of ``fibres(labels, count)[c]`` says labels[i] == c.
+
+    Up to ``_WIDE`` labels the bits are set one at a time.  Each set copies
+    the whole int, so above that each mask is filled as packed bytes, sized
+    to its last index, and read by one ``int.from_bytes``.
+    """
+    if len(labels) <= _WIDE:
+        masks = [0] * count
+        for i, c in enumerate(labels):
+            masks[c] |= 1 << i
+        return masks
+    last = [-1] * count
+    for i, c in enumerate(labels):
+        last[c] = i
+    packed = [bytearray(j // 8 + 1) for j in last]
+    for i, c in enumerate(labels):
+        packed[c][i >> 3] |= 1 << (i & 7)
+    return [int.from_bytes(p, "little") for p in packed]
 
 
 def set_bits(row):
@@ -331,17 +345,13 @@ def order_violation(src_rows, dst_rows, f):
     pullback of f[i]'s up-set.  The lowest failing i and its lowest failing
     j are the pair a pairwise scan in index order meets first.
     """
-    fibre = [0] * len(dst_rows)
-    hit = 0
-    for i, t in enumerate(f):
-        fibre[t] |= 1 << i
-        hit |= 1 << t
+    fibre = fibres(f, len(dst_rows))
     allowed = {}
     for i, row in enumerate(src_rows):
         t = f[i]
         pulled = allowed.get(t)
         if pulled is None:
-            pulled = allowed[t] = union_over(dst_rows[t] & hit, fibre)
+            pulled = allowed[t] = union_over(dst_rows[t], fibre)
         bad = row & ~pulled
         if bad:
             return i, (bad & -bad).bit_length() - 1
@@ -407,7 +417,7 @@ def induce_indexed(image, src, dst):
     class_map = tuple(map(lands.__getitem__, src.firsts))
     split = list(map(class_map.__getitem__, sp.item_class)) != lands
     if split or order_violation(sp.rows, tp.rows, class_map) is not None:
-        members = src.members()
+        members = fibres(src.class_of, len(src.class_rows))
         item_rows = (union_over(src.class_rows[c], members) for c in src.class_of)
         found = order_violation(item_rows, dst.class_rows, list(map(dst.class_of.__getitem__, image)))
         if found is not None:

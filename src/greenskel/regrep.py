@@ -7,10 +7,10 @@ are verified here, on the orbit of the full state set under rho(G) for a
 generating set G, without building the representation.
 """
 
-from .core import apply_mask, multiplier
+from .core import StateSubset, multiplier
 from .green import ConsistencyError, green_preorder
 from .order import induce_indexed, is_order_isomorphism, poset_isomorphic
-from .skeleton import inclusion, orbit, subduction
+from .skeleton import ImageSet, inclusion, orbit, subduction
 
 
 class RegRep:
@@ -18,17 +18,24 @@ class RegRep:
 
     States are the elements of S^1, identity first and the rest in
     canonical order; ``state_of`` numbers them.  ``gens`` holds the image
-    tuple of rho(g) for each g of ``base.generating_images()``, and
-    ``images[a]`` the image of rho(carrier[a]) as a bit mask.
+    tuple of rho(g) for each g of ``base.generating_images()``.
+    ``orbit`` is the ImageSet of the full state set under those tuples,
+    and ``at[a]`` the position in it of the image of rho(carrier[a]).
     """
 
-    def __init__(self, base, monoid, carrier, state_of, gens, images):
+    def __init__(self, base, monoid, carrier, state_of, gens, orbit, at):
         self.base = base
         self.monoid = monoid
         self.carrier = carrier
         self.state_of = state_of
         self.gens = gens
-        self.images = images
+        self.orbit = orbit
+        self.at = at
+
+    @property
+    def images(self):
+        """``images[a]``: the image of rho(carrier[a]) as a bit mask."""
+        return [self.orbit.subsets[i].mask for i in self.at]
 
 
 def right_regular(ts):
@@ -36,10 +43,10 @@ def right_regular(ts):
 
     rho(g) is built for a generating set only: entry a is the state of a*g.
     A breadth-first walk of those edges from the identity state must reach
-    every state of S (else ConsistencyError), and sets the image of
-    rho(a*g) to that of rho(a) under rho(g): one ``apply_mask`` per distinct
-    (image, g).  rho(s) sends the identity state to s, so the
-    representation is faithful by construction.
+    every state of S (else ConsistencyError).  The image of rho(a*g), that
+    of rho(a) under rho(g), is read off the edges of the images' orbit.
+    rho(s) sends the identity state to s, so the representation is
+    faithful by construction.
     """
     m = ts.adjoin_identity()
     one = m.identity()
@@ -50,22 +57,20 @@ def right_regular(ts):
     gens = tuple(
         tuple(state_of_images[times_a(g)] for times_a in times) for g in ts.generating_images()
     )
-    images = [None] * len(carrier)
-    images[0] = (1 << len(carrier)) - 1
-    moved = {}
+    n = len(carrier)
+    iset = ImageSet(n, *orbit(n, gens))
+    at = [None] * n
+    at[0] = iset.subsets.index(StateSubset.full(n))
     order = [0]
     for a in order:
-        for k, rho_g in enumerate(gens):
+        for rho_g, j in zip(gens, iset.edges[at[a]]):
             b = rho_g[a]
-            if images[b] is None:
-                key = (images[a], k)
-                if key not in moved:
-                    moved[key] = apply_mask(images[a], rho_g)
-                images[b] = moved[key]
+            if at[b] is None:
+                at[b] = j
                 order.append(b)
-    if len(order) < len(carrier):
-        raise ConsistencyError(f"the walk misses {carrier[images.index(None)]}")
-    return RegRep(ts, m, carrier, state_of, gens, images)
+    if len(order) < n:
+        raise ConsistencyError(f"the walk misses {carrier[at.index(None)]}")
+    return RegRep(ts, m, carrier, state_of, gens, iset, at)
 
 
 class CorollaryReport:
@@ -96,21 +101,17 @@ def corollary_check(ts):
 
     s -> im(rho(s)) induces maps from the J-classes to the skeleton classes
     and from the L-classes to the image sets, and each must be an order
-    isomorphism.  The target carrier is the orbit of the full state set
-    under rho(G), found apart from the walk that gave the images; its edge
-    table gives the subduction order, so no subset is acted on again.
+    isomorphism.  The target carrier is the representation's orbit, where
+    the walk placed every image; its edge table gives the subduction
+    order, so no subset is acted on again.
     """
     rr = right_regular(ts)
     m = rr.monoid
-    subsets, edges = orbit(len(rr.carrier), rr.gens)
-    incl = inclusion(subsets)
-    position = {P.mask: i for i, P in enumerate(incl.items)}
-    if not position.keys() >= set(rr.images):
-        raise ConsistencyError("a walked image is not in the orbit of the full state set")
+    incl = inclusion(rr.orbit.subsets)
     # the orbit position of im(rho(s)) for every s, in element order
-    im = [position[rr.images[a]] for a in map(rr.state_of.__getitem__, m.elements)]
+    im = [rr.at[a] for a in map(rr.state_of.__getitem__, m.elements)]
     verdicts = []
-    for kind, target in (("J", subduction(incl, edges)), ("L", incl)):
+    for kind, target in (("J", subduction(incl, rr.orbit.edges)), ("L", incl)):
         bridge = induce_indexed(im, green_preorder(m, kind), target)
         source, dest = bridge.source, bridge.target
         verdicts += [

@@ -466,6 +466,15 @@ class TestMain:
         out = capsys.readouterr().out
         assert "isomorphism: ok" in out and "admissible partitions: 3" in out
 
+    @pytest.mark.parametrize("command", [["analyze"], ["dot", "--which", "collapse"]])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command):
+        # an unwritable --out is an input error, not a counterexample
+        out = tmp_path / "no_such_dir" / "report"
+        assert cli.main(command + ["--input", CHAIN, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert not out.parent.exists()
+
     def test_missing_file_exit_2(self, capsys):
         assert cli.main(["analyze", "--input", str(INPUTS / "no_such.tsg")]) == 2
         assert "error:" in capsys.readouterr().err

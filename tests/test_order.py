@@ -21,6 +21,7 @@ from greenskel.maps import im_index
 from greenskel.order import (
     ClassPoset,
     closure_classes,
+    fibres,
     induce_indexed,
     is_order_isomorphism,
     order_violation,
@@ -644,6 +645,31 @@ class TestWideRows:
             ((i, j) for i in range(n) for j in bits[i] if not dst[f[i]] >> f[j] & 1), None
         )
         assert order_violation(rows, dst, f) == want
+
+    @given(
+        st.sampled_from([0, 1, 5, _WIDE - 1, _WIDE, _WIDE + 1, 3 * _WIDE]),
+        st.integers(1, 9),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fibres_match_bit_by_bit_build(self, n, count, seed):
+        rng = random.Random(seed)
+        labels = [rng.randrange(count) for _ in range(n)]
+        want = [0] * count
+        for i, c in enumerate(labels):
+            want[c] |= 1 << i
+        assert fibres(labels, count) == want
+
+    def test_fibres_of_many_items(self):
+        # the binary digits of each fibre, written out and read once
+        rng = random.Random(3)
+        labels = [rng.randrange(7) for _ in range(200_000)]
+        labels[-1] = 6
+        digits = [["0"] * len(labels) for _ in range(8)]
+        for i, c in enumerate(labels):
+            digits[c][~i] = "1"
+        got = fibres(labels, 8)
+        assert got == [int("".join(d), 2) for d in digits] and got[7] == 0
 
 
 class TestIsomorphism:

@@ -15,7 +15,7 @@ from greenskel import (
     right_regular,
     skeleton_poset,
 )
-from greenskel import green, regrep
+from greenskel import green, order, regrep
 from greenskel.catalog import chain_collapse, collapse_motif, full_tmonoid, right_zero, trivial
 from greenskel.cli import build_semigroup, parse
 from greenskel.green import ConsistencyError
@@ -235,6 +235,29 @@ class TestCorollary:
         assert inside == [0] * (len(fixtures) + 1)
         assert calls[0] > 0
 
+    def test_one_orbit_per_check(self, fixtures, monkeypatch):
+        # the walk, inclusion and subduction all read the one orbit of
+        # rho(G), which acts on each (image set, generator) pair at most
+        # once; poset_isomorphic's calls act on classes, not on states
+        apply_mask = order.apply_mask
+        calls = count_apply_mask(monkeypatch)
+        monkeypatch.setattr(order, "apply_mask", apply_mask)
+        real = regrep.orbit
+        orbits = []
+
+        def counted(n, gens):
+            subsets, edges = real(n, gens)
+            orbits.append((n, len(subsets) * len(gens)))
+            return subsets, edges
+
+        monkeypatch.setattr(regrep, "orbit", counted)
+        for name, ts in {**fixtures, "full_t4": full_tmonoid(4)}.items():
+            orbits.clear()
+            before = calls[0]
+            states = len(corollary_check(ts).regrep.carrier)
+            assert [n for n, _ in orbits] == [states], name
+            assert 0 < calls[0] - before <= orbits[0][1], name
+
 
 def assert_matches_oracle(ts):
     report = corollary_check(ts)
@@ -314,16 +337,3 @@ class TestWalkChecks:
         ts.generating_images = lambda: list(first)
         with pytest.raises(ConsistencyError, match="miss"):
             right_regular(ts)
-
-    def test_image_outside_the_orbit_raises(self, monkeypatch):
-        # the identity state lies only in the full image, that of a unit
-        real = regrep.right_regular
-
-        def planted(ts):
-            rr = real(ts)
-            rr.images[-1] |= 1
-            return rr
-
-        monkeypatch.setattr(regrep, "right_regular", planted)
-        with pytest.raises(ConsistencyError, match="orbit"):
-            regrep.corollary_check(collapse_motif())

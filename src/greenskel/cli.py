@@ -200,7 +200,11 @@ class AnalysisBundle:
             return False
         if self.corollary is not None and not self.corollary.passed:
             return False
-        return all(entry["valid"] and entry["report"].passed for entry in self.functorial or ())
+        if self.functorial is not None:
+            for entry in self.functorial:
+                if not entry["valid"] or not entry["report"].passed:
+                    return False
+        return True
 
 
 def run(doc, tasks, max_elements=1_000_000):
@@ -257,8 +261,11 @@ def report_text(bundle):
         f"monoid elements: {len(m)}",
     ]
     if bundle.green is not None:
-        counts = " ".join(f"{kind}={len(bundle.green[kind])}" for kind in ("R", "L", "J", "H"))
-        lines.append(f"green classes: {counts}")
+        counts = {kind: len(bundle.green[kind]) for kind in ("R", "L", "J", "H")}
+        lines.append(
+            "green classes: "
+            + " ".join(f"{kind}={counts[kind]}" for kind in ("R", "L", "J", "H"))
+        )
         lines.append(f"D-classes: {len(bundle.dclasses)} (D = J)")
         for i, box in enumerate(bundle.boxes):
             rows, cols = box.shape
@@ -407,12 +414,12 @@ def _dot_collapse(bundle):
         lines.append("    style=filled;")
         lines.append("    color=lightgrey;")
         for ci in classes:
-            lines.append(f'    c{ci} [label="{jq.rep(ci)!r}"];')
+            lines.append(f'    c{ci} [label="{jq.classes[ci][0]!r}"];')
             clustered.add(ci)
         lines.append("  }")
     for ci in range(len(jq)):
         if ci not in clustered:
-            lines.append(f'  c{ci} [label="{jq.rep(ci)!r}"];')
+            lines.append(f'  c{ci} [label="{jq.classes[ci][0]!r}"];')
     for lo, hi in jq.covers:
         lines.append(f"  c{lo} -> c{hi};")
     lines.append("}")
@@ -453,7 +460,7 @@ def emit_dot(bundle, which):
         if bundle.green is None:
             raise MissingAnalysisError(f"{which} rendering needs the green task")
         q = bundle.green[which[0].upper()]
-        return _dot_poset(q, [repr(q.rep(i)) for i in range(len(q))], which)
+        return _dot_poset(q, [repr(cls[0]) for cls in q.classes], which)
     if which == "skeleton":
         if bundle.skeleton is None:
             raise MissingAnalysisError("skeleton rendering needs the skeleton task")
@@ -583,8 +590,6 @@ def _dispatch(args, doc):
         else:
             sys.stdout.write(text)
         return 0
-    if args.command not in COMMAND_TASKS:
-        raise InputError(f"unknown command {args.command!r}")
     bundle = run(doc, getattr(args, "task", None) or COMMAND_TASKS[args.command], args.max_elements)
     if args.command == "verify":
         lines, ok = verification_lines(bundle)

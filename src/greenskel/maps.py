@@ -82,8 +82,10 @@ class DiagramReport:
 
     @property
     def passed(self):
-        arrows_ok = all(all(verdicts.values()) for verdicts in self.arrows.values())
-        return arrows_ok and all(self.commutes.values()) and all(self.preimage_unions.values())
+        for verdicts in self.arrows.values():
+            if not all(verdicts.values()):
+                return False
+        return all(self.commutes.values()) and all(self.preimage_unions.values())
 
     def to_dict(self):
         return {

@@ -182,13 +182,13 @@ class AdmissiblePartition:
 
 
 def _partitions(n):
-    """All set partitions of range(n) in restricted-growth order."""
+    """Every set partition of range(n), in restricted-growth order, with its growth string."""
     code = [0] * n
     while True:
         blocks = {}
         for x, b in enumerate(code):
             blocks.setdefault(b, []).append(x)
-        yield tuple(tuple(blocks[b]) for b in sorted(blocks))
+        yield tuple(tuple(blocks[b]) for b in sorted(blocks)), tuple(code)
         # next restricted growth string
         i = n - 1
         while i > 0:
@@ -216,15 +216,13 @@ def admissible_partitions(ts):
         )
     gens = ts.generating_images()
     out = []
-    for blocks in _partitions(ts.n):
-        partition = AdmissiblePartition(blocks)
-        block_of = partition.block_index()
+    for blocks, block_of in _partitions(ts.n):
         if all(
             len({block_of[g[x]] for x in block}) == 1
             for g in gens
             for block in blocks
         ):
-            out.append(partition)
+            out.append(AdmissiblePartition(blocks))
     return out
 
 

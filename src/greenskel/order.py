@@ -143,15 +143,10 @@ def union_over(row, masks):
 def fibres(labels, count):
     """Bit i of ``fibres(labels, count)[c]`` says labels[i] == c.
 
-    Up to ``_WIDE`` labels the bits are set one at a time.  Each set copies
-    the whole int, so above that each mask is filled as packed bytes, sized
-    to its last index, and read by one ``int.from_bytes``.
+    Setting the bits one at a time would copy the growing int each time, so
+    each mask is filled as packed bytes, sized to its last index, and read
+    by one ``int.from_bytes``.
     """
-    if len(labels) <= _WIDE:
-        masks = [0] * count
-        for i, c in enumerate(labels):
-            masks[c] |= 1 << i
-        return masks
     last = [-1] * count
     for i, c in enumerate(labels):
         last[c] = i
@@ -278,9 +273,6 @@ class ClassPoset:
 
     def __len__(self):
         return len(self.classes)
-
-    def rep(self, ci):
-        return self.classes[ci][0]
 
     def levels(self):
         """Longest-chain height of every class above the minimal ones.

@@ -7,6 +7,8 @@ are verified here, on the orbit of the full state set under rho(G) for a
 generating set G, without building the representation.
 """
 
+from functools import cached_property
+
 from .core import StateSubset, multiplier
 from .green import ConsistencyError, green_preorder
 from .order import induce_indexed, is_order_isomorphism, poset_isomorphic
@@ -32,10 +34,10 @@ class RegRep:
         self.orbit = orbit
         self.at = at
 
-    @property
+    @cached_property
     def images(self):
-        """``images[a]``: the image of rho(carrier[a]) as a bit mask."""
-        return [self.orbit.subsets[i].mask for i in self.at]
+        """``images[a]``: the image of rho(carrier[a]) as a bit mask, read once."""
+        return tuple(self.orbit.subsets[i].mask for i in self.at)
 
 
 def right_regular(ts):

@@ -167,7 +167,7 @@ class TestRepresentation:
         rep, _ = naive.regular_representation(ts)
         assert len(rr.carrier) == 4 and len(rep.elements) == 3
         # rho(s) of a right zero s is constant at s, and rho(1) is onto
-        assert rr.images == [0b1111, 0b0010, 0b0100, 0b1000]
+        assert rr.images == (0b1111, 0b0010, 0b0100, 0b1000)
 
 
 class TestCorollary:

@@ -3,7 +3,9 @@
 Draws generated transformation semigroups from a seeded RNG, then checks
 the diagram of induced maps, the regular-representation isomorphisms, and
 functoriality of every admissible quotient.  Stops at the first failure
-and prints the offending generators so the case can be replayed.
+and prints the offending generators so the case can be replayed: a check
+that reports a failed law exits 1, and one that raises an internal
+verification error exits 4, as the greenskel command does.
 """
 
 import argparse
@@ -11,6 +13,9 @@ import random
 import sys
 
 from greenskel import (
+    ConsistencyError,
+    MalformedPreorderError,
+    NotAMorphismError,
     ResourceLimitError,
     Transformation,
     TransformationSemigroup,
@@ -65,25 +70,29 @@ def main(argv=None):
         checked += 1
         largest = max(largest, len(ts))
 
-        report = verify_diagram(ts.adjoin_identity())
-        if not report.passed:
-            print(f"diagram FAIL on {describe(ts)}")
-            print(report.to_text())
-            return 1
-        if not args.skip_corollary:
-            cor = corollary_check(ts)
-            if not cor.passed:
-                print(f"representation FAIL on {describe(ts)}")
+        try:
+            report = verify_diagram(ts.adjoin_identity())
+            if not report.passed:
+                print(f"diagram FAIL on {describe(ts)}")
+                print(report.to_text())
                 return 1
-        for partition in admissible_partitions(ts):
-            target, morphism = quotient_ts(ts, partition)
-            ok, violation = validate(morphism)
-            if not ok or not functoriality_check(morphism).passed:
-                print(f"functoriality FAIL on {describe(ts)} blocks={partition.blocks}")
-                if violation:
-                    print(f"  violation: {violation}")
-                return 1
-            partitions += 1
+            if not args.skip_corollary:
+                cor = corollary_check(ts)
+                if not cor.passed:
+                    print(f"representation FAIL on {describe(ts)}")
+                    return 1
+            for partition in admissible_partitions(ts):
+                target, morphism = quotient_ts(ts, partition)
+                ok, violation = validate(morphism)
+                if not ok or not functoriality_check(morphism).passed:
+                    print(f"functoriality FAIL on {describe(ts)} blocks={partition.blocks}")
+                    if violation:
+                        print(f"  violation: {violation}")
+                    return 1
+                partitions += 1
+        except (ConsistencyError, MalformedPreorderError, NotAMorphismError, AssertionError) as err:
+            print(f"FAIL on {describe(ts)}: {err}")
+            return 4
 
     print(
         f"audited {checked} semigroup(s) (seed {args.seed}, {skipped} over cap, "

@@ -28,7 +28,6 @@ from .order import (
     Preorder,
     lattice_violation,
     poset_isomorphic,
-    quotient,
 )
 from .regrep import CorollaryReport, RegRep, corollary_check, right_regular
 from .skeleton import (
@@ -78,7 +77,6 @@ __all__ = [
     "inclusion_preorder",
     "lattice_violation",
     "poset_isomorphic",
-    "quotient",
     "quotient_ts",
     "right_regular",
     "skeleton_poset",

@@ -17,13 +17,7 @@ verification failure (a broken invariant, reported without a traceback).
 import sys
 from functools import cached_property
 
-from .core import (
-    ResourceLimitError,
-    StateSubset,
-    Transformation,
-    TransformationSemigroup,
-    _read_only,
-)
+from .core import ResourceLimitError, Transformation, TransformationSemigroup, _read_only
 from .green import ConsistencyError, d_classes, eggboxes, green_poset
 from .maps import im_bar_S, verify_diagram
 from .morphisms import admissible_partitions, functoriality_check, quotient_ts, validate
@@ -498,7 +492,7 @@ def verification_lines(bundle):
     embeds = order_violation(inclusion_preorder(m).class_rows, subd.class_rows, subd.class_of) is None
     checks.append(("inclusion embeds into subduction", embeds))
     sq = skeleton_poset(m)
-    full_class = sq.item_class[sq.items.index(StateSubset.full(m.n))]
+    full_class = sq.item_class[image_set(m).position[(1 << m.n) - 1]]
     checks.append(("full state set is the unique skeleton maximum", sq.maximal() == (full_class,)))
     # run() also built the memoised d_classes(m), which raises
     # ConsistencyError unless the D and J partitions agree

@@ -6,18 +6,18 @@ the left one s -> g*s.  Then s <=_R t exactly when t reaches s in the right
 graph (s lies in t*S^1), <=_L is reachability in the left graph and <=_J in
 their union.  The R-, L- and J-classes are the strongly connected
 components of those graphs (Froidure and Pin, 1997), so each preorder is
-kept on its classes: Tarjan over the graphs' successor tuples, then the
-order of the classes as bit rows of C bits, not N.  The edges are read off
-the elements' keys: one ``bytes.translate`` pass per generator for s*g,
-and g's key translated through s's table for g*s, so no element object is
-built for them.  H-classes are the (L-class, R-class) pairs, and D-classes
+kept on its classes: Tarjan over the graphs' successor tuples, whose
+edges point down the order, then the order of the classes as bit rows of
+C bits, not N.  The edges are read off the elements' keys: one
+``bytes.translate`` pass per generator for s*g, and g's key translated
+through s's table for g*s, so no element object is built for them.  H-classes are the (L-class, R-class) pairs, and D-classes
 the components of the graph joining each L-class to the R-classes it
 meets.  Egg-boxes are laid out from the class lists by element index.  No
 relation is stored per pair of elements.
 """
 
 from .core import _left_times, _times, multiplier, per_monoid
-from .order import Preorder, closure_classes, fibres, strongly_connected, transpose, union_over
+from .order import Preorder, closure_classes, fibres, strongly_connected, union_over
 
 
 class ConsistencyError(RuntimeError):
@@ -61,8 +61,8 @@ def green_preorder(m, which):
     """The preorder <=_K on S^1 for K in {"R", "L", "J", "H"}, on its classes.
 
     s <=_K t holds when the principal K-ideal of s is contained in that of
-    t, i.e. when t reaches s in the K Cayley graph, so the class rows are
-    the transposed reach of the graph's classes.  J follows the union of
+    t, i.e. when t reaches s in the K Cayley graph: its edges point down
+    the order, as ``closure_classes`` takes them.  J follows the union of
     the right and left edges, so it is found apart from R and L.  <=_H is
     the meet of <=_L and <=_R.
     """
@@ -79,8 +79,7 @@ def green_preorder(m, which):
         graph = left
     else:
         graph = [a + b for a, b in zip(right, left)]
-    class_of, reach = closure_classes(graph)
-    return Preorder(m.elements, class_of, transpose(reach))
+    return Preorder(m.elements, *closure_classes(graph))
 
 
 def green_poset(ts, which):

@@ -5,11 +5,11 @@ inclusion and <=_J into subduction, so it drops to order-preserving
 surjections im_bar : S^1/L -> (I(X), inclusion) and
 im_bar_S : S^1/J -> skeleton.  im is held by element index: the image
 masks are read off the elements' keys, and each element's image is a
-position in the carrier of I(X).  Everything here is verified
-exhaustively, not trusted: each law of an induced map is decided once, by
-the ``induce_indexed`` that builds it, which raises when the law fails;
-the diagram report lists those laws beside the verdicts it computes
-itself.
+position in the carrier of I(X), looked up in ``ImageSet.position``.
+Everything here is verified exhaustively, not trusted: each law of an
+induced map is decided once, on the preorders' own classes, by the
+``induce_indexed`` that builds it, which raises when the law fails; the
+diagram report lists those laws beside the verdicts it computes itself.
 """
 
 from .core import per_monoid
@@ -34,8 +34,7 @@ def image_masks(m):
 @per_monoid
 def im_index(m):
     """The position of every element's image in I(X), in element order."""
-    position = {P.mask: i for i, P in enumerate(image_set(m).subsets)}
-    return list(map(position.__getitem__, image_masks(m)))
+    return list(map(image_set(m).position.__getitem__, image_masks(m)))
 
 
 @per_monoid

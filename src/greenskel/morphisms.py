@@ -391,8 +391,7 @@ def functoriality_check(m):
     iy = image_set(tm)
     state_map = m.state_map
     psi_masks = [apply_mask(P.mask, state_map) for P in ix.subsets]
-    target_of = {Q.mask: Q for Q in iy.subsets}
-    images_onto = set(psi_masks) == target_of.keys()
+    images_onto = set(psi_masks) == iy.position.keys()
     if not images_onto:
         witnesses["images"] = sorted(
             {StateSubset(tm.n, mask) for mask in psi_masks} ^ set(iy.subsets),
@@ -423,8 +422,7 @@ def functoriality_check(m):
     # carriers of the two subduction preorders
     skeleton = None
     if images_onto:
-        position = {mask: k for k, mask in enumerate(target_of)}
-        psi = [position[mask] for mask in psi_masks]
+        psi = list(map(iy.position.__getitem__, psi_masks))
         try:
             skeleton = induce_indexed(psi, subduction_preorder(sm), subduction_preorder(tm))
         except NotAMorphismError as err:

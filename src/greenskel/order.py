@@ -3,12 +3,13 @@
 A ``Preorder`` is held on its classes: the class of every item plus the
 order of the classes, one bit row per class.  Its constructor checks the
 laws on those classes and finds the covers of the class order with the
-same union, and ``quotient`` takes them as they are.  Every query is
-answered on the classes.
+same union, and ``ClassPoset(p)``, the quotient, takes them as they are.
+Every query is answered on the classes.
 
 A relation given by its generating edges, such as a Cayley graph, is
-closed by ``closure_classes``: Tarjan's strongly connected components of
-the adjacency lists, then one pass over their condensation with class bit
+closed by ``closure_classes``.  Every edge points down the order, so b <=
+a when a reaches b: Tarjan's strongly connected components of the
+adjacency lists, then one pass over their condensation with class bit
 rows, which is the form ``Preorder`` takes.
 """
 
@@ -118,8 +119,8 @@ class Preorder:
 
     @cached_property
     def poset(self):
-        """``quotient(self)``, computed on first use and kept."""
-        return quotient(self)
+        """``ClassPoset(self)``, built on first use and kept."""
+        return ClassPoset(self)
 
 
 def union_over(row, masks):
@@ -224,12 +225,14 @@ def strongly_connected(succ):
 def closure_classes(succ):
     """Reflexive-transitive closure of a digraph, as the classes and rows of a ``Preorder``.
 
-    The classes are the strongly connected components of ``succ``,
-    renumbered by least member, and bit d of ``class_rows[c]`` says class
-    c reaches class d.  Tarjan numbers each component after every
-    component it reaches, so one ascending pass over the components finds
-    the reach of each from the reaches already found: bit rows of C
-    classes, not of the n vertices.
+    Every edge points down the order: b <= a when a reaches b.  The
+    classes are the strongly connected components of ``succ``, renumbered
+    by least member, and bit d of ``class_rows[c]`` says class d reaches
+    class c, which is c <= d.  Tarjan numbers each component after every
+    component it reaches, so in one descending pass a component's row is
+    whole when its turn comes, and is then ORed into the rows of the
+    components its edges reach.  Those edges of the condensation are held
+    as bit rows of C components, and so are the rows: C bits, not n.
     """
     ncomp, comp_of = strongly_connected(succ)
     renumber = [-1] * ncomp
@@ -238,38 +241,45 @@ def closure_classes(succ):
         if renumber[c] < 0:
             renumber[c] = count
             count += 1
-    class_of = [renumber[c] for c in comp_of]
     out = [0] * ncomp
     for v, heads in enumerate(succ):
         c = comp_of[v]
         for w in heads:
-            out[c] |= 1 << class_of[w]
-    class_rows = [0] * ncomp
-    for c in range(ncomp):
-        acc = 1 << renumber[c]
-        rest = out[c] & ~acc
+            out[c] |= 1 << comp_of[w]
+    reach = [1 << r for r in renumber]
+    for c in range(ncomp - 1, -1, -1):
+        row = reach[c]
+        rest = out[c] & ~(1 << c)
         while rest:
-            acc |= class_rows[(rest & -rest).bit_length() - 1]
-            rest &= ~acc
-        class_rows[renumber[c]] = acc
-    return class_of, class_rows
+            low = rest & -rest
+            reach[low.bit_length() - 1] |= row
+            rest ^= low
+    class_rows = [0] * ncomp
+    for c, r in enumerate(renumber):
+        class_rows[r] = reach[c]
+    return [renumber[c] for c in comp_of], class_rows
 
 
 class ClassPoset:
     """Quotient of a preorder: equivalence classes under mutual <=, ordered.
 
-    Classes are numbered by their least member's position in the source
-    carrier, and each class is named by that least member.  ``item_class``
-    lists the class of every item by index, and bit d of ``rows[c]`` says
-    class c <= class d.
+    Built from a ``Preorder`` p.  Classes are numbered by their least
+    member's position in the source carrier, and each class is named by
+    that least member.  ``items``, ``rows`` (bit d of ``rows[c]`` says
+    class c <= class d), ``covers`` and ``item_class`` (the class of every
+    item by index) are p's own objects, which its constructor checked and
+    found; only the member lists are built here.
     """
 
-    def __init__(self, items, classes, rows, covers, item_class):
-        self.items = items
-        self.classes = classes
-        self.rows = rows
-        self.covers = covers
-        self.item_class = item_class
+    def __init__(self, p):
+        members = [[] for _ in p.class_rows]
+        for a, c in zip(p.items, p.class_of):
+            members[c].append(a)
+        self.items = p.items
+        self.classes = tuple(map(tuple, members))
+        self.rows = p.class_rows
+        self.covers = p.covers
+        self.item_class = p.class_of
 
     def __len__(self):
         return len(self.classes)
@@ -313,19 +323,6 @@ def transpose(rows):
             cols[low.bit_length() - 1] |= 1 << i
             rest ^= low
     return cols
-
-
-def quotient(p):
-    """Collapse mutual comparabilities; the classes inherit a partial order.
-
-    The classes, class rows and covers are those the constructor of ``p``
-    checked and found, numbered by least member; only the member lists are
-    built here.  ``Preorder.poset`` keeps the result; this always computes.
-    """
-    members = [[] for _ in p.class_rows]
-    for a, c in zip(p.items, p.class_of):
-        members[c].append(a)
-    return ClassPoset(p.items, tuple(map(tuple, members)), p.class_rows, p.covers, p.class_of)
 
 
 def order_violation(src_rows, dst_rows, f):
@@ -386,41 +383,34 @@ def induce_indexed(image, src, dst):
     """Quotient-level map of a preorder morphism; the one check of its laws.
 
     ``image[i]`` is the index in ``dst`` of the image of source item i.
-    The class rows of a quotient are exact: class(a) <= class(b) exactly
-    when a <= b.  So the map respects the preorders exactly when (1) every
-    member of a source class lands in the target class of the class's
-    first member, and (2) the class map so defined respects the class
-    rows.  Those two are decided here, by one comparison of two lists of
-    target classes over the items and one ``order_violation`` over the
-    classes.  (1) is also well-definedness on classes, the item->class
-    square ``class_map[class(a)] == class(f(a))`` for every item, and "the
+    The class rows of a ``Preorder`` are exact: class(a) <= class(b)
+    exactly when a <= b.  So the map respects the preorders exactly when
+    (1) every member of a source class lands in the target class of the
+    class's first member, and (2) the class map so defined respects the
+    class rows.  Those two are decided here on the preorders' own classes,
+    by one comparison of two lists of target classes over the items and
+    one ``order_violation`` over the classes.  (1) is also
+    well-definedness on classes, the item->class square
+    ``class_map[class(a)] == class(f(a))`` for every item, and "the
     preimage of every target class is a union of source classes".
 
-    When either fails, ``order_violation`` names the first offending pair
-    of items from the preorders' own classes, one source item row at a time
-    against the target class of each image, and NotAMorphismError carries
-    it.  Only posets planted by hand, whose class rows disagree with their
-    preorders, can fail (1) or (2) with no such pair; that raises
-    AssertionError.
+    When either fails, some pair of items a <= b has unrelated images: a
+    class split over two target classes, or a broken class order, at the
+    first members of its classes.  ``order_violation`` names the first
+    such pair, one source item row at a time against the target class of
+    each image, and NotAMorphismError carries it.
     """
-    sp = src.poset
-    tp = dst.poset
-    lands = list(map(tp.item_class.__getitem__, image))
+    lands = list(map(dst.class_of.__getitem__, image))
     class_map = tuple(map(lands.__getitem__, src.firsts))
-    split = list(map(class_map.__getitem__, sp.item_class)) != lands
-    if split or order_violation(sp.rows, tp.rows, class_map) is not None:
+    if (
+        list(map(class_map.__getitem__, src.class_of)) != lands
+        or order_violation(src.class_rows, dst.class_rows, class_map) is not None
+    ):
         members = fibres(src.class_of, len(src.class_rows))
         item_rows = (union_over(src.class_rows[c], members) for c in src.class_of)
-        found = order_violation(item_rows, dst.class_rows, list(map(dst.class_of.__getitem__, image)))
-        if found is not None:
-            raise NotAMorphismError((src.items[found[0]], src.items[found[1]]))
-        if split:
-            pairs = list(zip(sp.item_class, lands))
-            c = min(d for d, t in pairs if t != class_map[d])
-            count = len({t for d, t in pairs if d == c})
-            raise AssertionError(f"class of {sp.classes[c][0]!r} maps into {count} target classes")
-        raise AssertionError("induced class map is not order-preserving")
-    return InducedMap(sp, tp, class_map)
+        i, j = order_violation(item_rows, dst.class_rows, lands)
+        raise NotAMorphismError((src.items[i], src.items[j]))
+    return InducedMap(src.poset, dst.poset, class_map)
 
 
 def poset_isomorphic(p, q):

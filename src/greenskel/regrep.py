@@ -9,7 +9,7 @@ generating set G, without building the representation.
 
 from functools import cached_property
 
-from .core import StateSubset, multiplier
+from .core import multiplier
 from .green import ConsistencyError, green_preorder
 from .order import induce_indexed, is_order_isomorphism, poset_isomorphic
 from .skeleton import ImageSet, inclusion, orbit, subduction
@@ -60,9 +60,10 @@ def right_regular(ts):
         tuple(state_of_images[times_a(g)] for times_a in times) for g in ts.generating_images()
     )
     n = len(carrier)
-    iset = ImageSet(n, *orbit(n, gens))
+    full = (1 << n) - 1
+    iset = ImageSet(n, *orbit(n, gens, [full]))
     at = [None] * n
-    at[0] = iset.subsets.index(StateSubset.full(n))
+    at[0] = iset.position[full]
     order = [0]
     for a in order:
         for rho_g, j in zip(gens, iset.edges[at[a]]):

@@ -11,21 +11,25 @@ search applies each generator g to each subset Q once, and keeps the
 result as the orbit edge Q -> Q^g, an entry of the edge table: one
 ``apply_mask`` per edge, and no other consumer acts on a subset again.
 I(X) is closed under the action, so Q's images {Q^s : s in S^1} are the
-members reachable from Q along those edges.  The extended carrier is
-closed too, since singletons map to singletons: {x}^g = {x^g}.
+members reachable from Q along those edges.  Singletons map to
+singletons, {x}^g = {x^g}, so the extended carrier is the orbit of X and
+every singleton, found by the same search.
 
 Inclusion is read off the states: has[x], the subsets that contain x, is
 a column, and P's row of supersets is the AND of the columns of its
 members; states with equal columns share one AND, so the rows take at
 most sum |P| big-int ANDs, not |I(X)|^2 pair tests.  Inclusion commutes with
 the action (P <= R gives P^s <= R^s), so subduction is the
-reflexive-transitive closure of the inclusion covers and the reversed
-orbit edges together: |I(X)|*|G| stored edges plus the covers, with no
+reflexive-transitive closure of the orbit edges Q -> Q^g, which point
+down the order, and the inclusion covers, from each subset down to the
+subsets it covers: |I(X)|*|G| stored edges plus the covers, with no
 subset acted on, instead of |I(X)|^2*|S^1| subset tests.
 
 ``orbit``, ``inclusion`` and ``subduction`` need only generating image
 tuples, so ``regrep`` runs them on a representation it never builds.
 """
+
+from functools import cached_property
 
 from .core import StateSubset, apply_mask, per_monoid
 from .order import Preorder, closure_classes
@@ -34,10 +38,11 @@ from .order import Preorder, closure_classes
 class ImageSet:
     """The distinct images of the elements of S^1, plus optional singletons.
 
-    ``subsets`` is the orbit of the full state set, sorted.  Singletons
-    adjoined in extended mode never arise as images; they are listed in
-    ``adjoined``.  ``edges[i][k]`` is the position of subsets[i]^g for the
-    k-th image tuple g of the monoid's ``generating_images()``.
+    ``subsets`` is the orbit of the full state set, sorted; in extended
+    mode, that of the full set and every singleton.  Singletons adjoined
+    so never arise as images; they are listed in ``adjoined``.  ``edges[i][k]`` is the position of subsets[i]^g for the
+    k-th image tuple g of the monoid's ``generating_images()``, and
+    ``position`` maps the mask of each subset to its position.
     """
 
     def __init__(self, n, subsets, edges, adjoined=frozenset()):
@@ -55,17 +60,21 @@ class ImageSet:
     def __contains__(self, P):
         return P in self.subsets
 
+    @cached_property
+    def position(self):
+        return {P.mask: i for i, P in enumerate(self.subsets)}
 
-def orbit(n, gens):
-    """The orbit of the full set of n states under the image tuples ``gens``, with its edges.
+
+def orbit(n, gens, starts):
+    """The orbit of the subset masks ``starts`` of n states under the image tuples ``gens``, with its edges.
 
     Returns the subsets, sorted, and the edge table: ``edges[i][k]`` is the
     position of subsets[i]^gens[k].  The search numbers the subsets as it
     meets them, one ``apply_mask`` per (subset, generator), and the sort
     renumbers the edges.
     """
-    order = [(1 << n) - 1]
-    found = {order[0]: 0}
+    order = list(dict.fromkeys(starts))
+    found = {q: j for j, q in enumerate(order)}
     heads = []
     for q in order:
         row = []
@@ -115,46 +124,35 @@ def subduction(incl, edges):
     ``incl`` is an ``inclusion``, whose classes are its items, and
     ``edges[i][k]`` the position of the image of item i under the k-th
     generator.  Inclusion is the closure of its covers, so subduction is
-    the closure of those covers and the reversed orbit edges Q^g -> Q; no
-    subset is acted on.
+    the closure of the orbit edges Q -> Q^g as they are and the covers, each
+    from the larger subset down to the smaller; no subset is acted on.
     """
-    succ = [[] for _ in edges]
+    succ = list(map(list, edges))
     for c, d in incl.covers:
-        succ[c].append(d)
-    for i, heads in enumerate(edges):
-        for j in heads:
-            succ[j].append(i)
+        succ[d].append(c)
     return Preorder(incl.items, *closure_classes(succ))
 
 
 @per_monoid
 def image_set(m):
     """I(X): the orbit of the full set under the generating images, with its edges."""
-    return ImageSet(m.n, *orbit(m.n, m.generating_images()))
+    return ImageSet(m.n, *orbit(m.n, m.generating_images(), [(1 << m.n) - 1]))
 
 
 @per_monoid
 def extended_image_set(m):
     """I(X) together with all singletons; extras are flagged as adjoined.
 
-    The orbit's edges are renumbered into the larger carrier, and an
-    adjoined {x} goes to {x^g}, a singleton of the carrier.
+    One orbit search from the full set and every singleton: singletons map
+    to singletons, so it adds to I(X) the singletons it lacks, with their
+    edges.
     """
-    base = image_set(m)
-    adjoined = frozenset(
-        s for x in range(m.n) if (s := StateSubset.singleton(m.n, x)) not in base
+    singletons = [1 << x for x in range(m.n)]
+    found = image_set(m).position
+    adjoined = frozenset(StateSubset(m.n, s) for s in singletons if s not in found)
+    return ImageSet(
+        m.n, *orbit(m.n, m.generating_images(), [(1 << m.n) - 1, *singletons]), adjoined
     )
-    subsets = tuple(sorted(set(base.subsets) | adjoined, key=StateSubset.sort_key))
-    position = {P.mask: i for i, P in enumerate(subsets)}
-    moved = [position[P.mask] for P in base.subsets]
-    edges = [None] * len(subsets)
-    gens = m.generating_images()
-    for P, heads in zip(base.subsets, base.edges):
-        edges[position[P.mask]] = tuple(map(moved.__getitem__, heads))
-    for P in adjoined:
-        x = P.mask.bit_length() - 1
-        edges[position[P.mask]] = tuple(position[1 << g[x]] for g in gens)
-    return ImageSet(m.n, subsets, tuple(edges), adjoined)
 
 
 @per_monoid

@@ -23,7 +23,6 @@ from greenskel.order import (
     MalformedPreorderError,
     Preorder,
     _signatures,
-    closure_classes,
     induce_indexed,
 )
 from greenskel.skeleton import image_set, subduction_preorder
@@ -309,20 +308,44 @@ def inclusion_rows(subsets):
 def subduction_by_images(subsets, gens):
     """Subduction on a closed carrier of library subsets, every orbit edge applied anew.
 
-    The closure of every inclusion pair (``inclusion_rows``) and the
-    reversed edges Q^g -> Q, each Q^g found by its own ``apply_mask``: the
-    form ``skeleton.subduction`` had before it read the orbit's stored
-    edges and the inclusion covers.  Returns the ``Preorder``.
+    Every inclusion pair (``inclusion_rows``) and every pair Q^g <= Q, each
+    Q^g found by its own ``apply_mask``, closed by the fixpoint of
+    ``transitive_closure_rows`` and grouped into classes by equal rows
+    (``equal_row_classes``): none of the library's closure.  Returns the
+    ``Preorder``.
     """
     index = {P.mask: i for i, P in enumerate(subsets)}
-    succ = [
-        [j for j, bit in enumerate(bin(row)[:1:-1]) if bit == "1"]
-        for row in inclusion_rows(subsets)
-    ]
+    rows = inclusion_rows(subsets)
     for q, i in index.items():
         for g in gens:
-            succ[index[apply_mask(q, g)]].append(i)
-    return Preorder(subsets, *closure_classes(succ))
+            rows[index[apply_mask(q, g)]] |= 1 << i
+    return Preorder(subsets, *equal_row_classes(subsets, transitive_closure_rows(rows)))
+
+
+def extended_image_set(ts):
+    """The extended carrier of S^1 renumbered from the library's plain ``image_set``.
+
+    The form ``skeleton.extended_image_set`` had before it seeded one
+    orbit search with the singletons: the singletons missing from I(X) are
+    adjoined, the orbit's edges are moved into the larger carrier, and an
+    adjoined {x} goes to {x^g} for every generating image g, with no
+    ``apply_mask``.  Returns ``(subsets, edges, adjoined)``.
+    """
+    m = ts.adjoin_identity()
+    base = image_set(m)
+    adjoined = frozenset(
+        s for x in range(m.n) if (s := StateSubset.singleton(m.n, x)) not in base
+    )
+    subsets = tuple(sorted(set(base.subsets) | adjoined, key=StateSubset.sort_key))
+    position = {P.mask: i for i, P in enumerate(subsets)}
+    moved = [position[P.mask] for P in base.subsets]
+    edges = [None] * len(subsets)
+    for P, heads in zip(base.subsets, base.edges):
+        edges[position[P.mask]] = tuple(map(moved.__getitem__, heads))
+    for P in adjoined:
+        x = P.mask.bit_length() - 1
+        edges[position[P.mask]] = tuple(position[1 << g[x]] for g in m.generating_images())
+    return subsets, tuple(edges), adjoined
 
 
 def is_closed(elements):
@@ -1017,7 +1040,9 @@ def induce_by_items(f, src, dst):
     a dict keyed by item (``class_of``), class by class, then the class
     rows.  Returns ``("map", class_map)`` when f respects both preorders,
     else ``("witness", (a, b))`` with the first pair of a pairwise scan
-    over the item rows of ``class_item_rows``.
+    over the item rows of ``class_item_rows``; the class rows of a
+    ``Preorder`` are exact, so a split class or a broken class order always
+    has one.
     """
     sp, tp = src.poset, dst.poset
     t_of = class_of(tp)
@@ -1033,11 +1058,12 @@ def induce_by_items(f, src, dst):
     src_rows = class_item_rows(src.class_of, src.class_rows)
     dst_rows = class_item_rows(dst.class_of, dst.class_rows)
     at = {b: j for j, b in enumerate(dst.items)}
-    for i, a in enumerate(src.items):
-        for j, b in enumerate(src.items):
-            if src_rows[i] >> j & 1 and not dst_rows[at[f[a]]] >> at[f[b]] & 1:
-                return "witness", (a, b)
-    return "planted", None
+    return "witness", next(
+        (a, b)
+        for i, a in enumerate(src.items)
+        for j, b in enumerate(src.items)
+        if src_rows[i] >> j & 1 and not dst_rows[at[f[a]]] >> at[f[b]] & 1
+    )
 
 
 def im_square(m):

@@ -245,9 +245,10 @@ class TestCorollary:
         real = regrep.orbit
         orbits = []
 
-        def counted(n, gens):
-            subsets, edges = real(n, gens)
+        def counted(n, gens, starts):
+            subsets, edges = real(n, gens, starts)
             orbits.append((n, len(subsets) * len(gens)))
+            assert starts == [(1 << n) - 1]
             return subsets, edges
 
         monkeypatch.setattr(regrep, "orbit", counted)

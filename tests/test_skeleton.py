@@ -29,7 +29,7 @@ from greenskel.catalog import (
     right_zero,
     trivial,
 )
-from greenskel.cli import build_semigroup, parse
+from greenskel.cli import InputDocument, build_semigroup, parse
 from greenskel.core import _WIDE, apply_mask
 from greenskel.regrep import right_regular
 from greenskel.skeleton import inclusion, orbit, subduction
@@ -48,6 +48,27 @@ INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
 def subsets_one_based(iset):
     return {p.one_based for p in iset.subsets}
+
+
+def assert_positions(iset):
+    """``position`` maps the mask of every subset, and nothing else, to its index."""
+    assert len(iset.position) == len(iset.subsets)
+    for i, P in enumerate(iset.subsets):
+        assert iset.position[P.mask] == i
+
+
+def assert_extended_matches_renumbering(doc):
+    """The seeded orbit against the plain orbit renumbered, with and without ``monoid: false``."""
+    for monoid in (True, False):
+        ts = build_semigroup(InputDocument(doc.n, doc.generators, monoid), max_elements=200)
+        iset = extended_image_set(ts)
+        assert (iset.subsets, iset.edges, iset.adjoined) == naive.extended_image_set(ts)
+        assert_positions(image_set(ts))
+        assert_positions(iset)
+
+
+def document(n, gens):
+    return InputDocument(n, tuple(g.one_based for g in gens))
 
 
 class TestImageSet:
@@ -99,6 +120,24 @@ class TestExtendedImageSet:
         iset = extended_image_set(trivial(2))
         assert subsets_one_based(iset) == {(1, 2), (1,), (2,)}
         assert len(iset.adjoined) == 2
+
+    def test_fixtures_match_renumbering(self, fixtures):
+        for ts in fixtures.values():
+            assert_extended_matches_renumbering(document(ts.n, ts.generators))
+
+    def test_inputs_match_renumbering(self):
+        paths = sorted(INPUTS.glob("*.tsg"))
+        assert paths
+        for path in paths:
+            assert_extended_matches_renumbering(parse(path.read_text()))
+
+    @given(generator_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_random_match_renumbering(self, gens):
+        try:
+            assert_extended_matches_renumbering(document(gens[0].n, gens))
+        except ResourceLimitError:
+            assume(False)
 
 
 class TestSubductionLeq:
@@ -360,8 +399,11 @@ class TestOrbitEdges:
             Transformation(tuple(k + 1 if x == k else x for x in range(8))) for k in range(7)
         ]
         rr = right_regular(TransformationSemigroup.generate(8, gens))
-        subsets, edges = orbit(len(rr.carrier), rr.gens)
-        assert len(subsets) == len(rr.carrier) == 1430 > _WIDE
+        n = len(rr.carrier)
+        subsets, edges = orbit(n, rr.gens, [(1 << n) - 1])
+        assert len(subsets) == n == 1430 > _WIDE
+        assert subsets == rr.orbit.subsets
+        assert_positions(rr.orbit)
         assert_edges_are_images(ImageSet(len(rr.carrier), subsets, edges), rr.gens)
         incl = inclusion(subsets)
         assert_matches_edge_oracles(subsets, rr.gens, incl, subduction(incl, edges))

@@ -1,15 +1,27 @@
 """Analyze and verify every semigroup description under inputs/.
 
 Prints each report, runs the full verification battery, and optionally
-dumps DOT renderings next to a chosen directory.  Exits nonzero if any
-input fails verification.
+dumps DOT renderings next to a chosen directory.  Exit codes are those of
+the greenskel command: 0 every input passes, 1 an input fails
+verification, 2 an input cannot be read or parsed, 3 a resource cap is
+hit, 4 an internal verification failure.  The first error stops the run,
+and its message names the file.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from greenskel.cli import DOT_KINDS, emit_dot, parse, report_text, run, verification_lines
+from greenskel import ConsistencyError, MalformedPreorderError, NotAMorphismError, ResourceLimitError
+from greenskel.cli import (
+    DOT_KINDS,
+    InputError,
+    emit_dot,
+    parse,
+    report_text,
+    run,
+    verification_lines,
+)
 
 
 def main(argv=None):
@@ -32,17 +44,30 @@ def main(argv=None):
     failures = 0
     for path in paths:
         print(f"== {path.name}")
-        doc = parse(path.read_text(encoding="utf-8"))
-        bundle = run(doc, ("green", "skeleton", "diagram"), args.max_elements)
-        sys.stdout.write(report_text(bundle))
-        lines, ok = verification_lines(bundle)
-        sys.stdout.write("\n".join(lines) + "\n\n")
-        failures += 0 if ok else 1
-        if args.dot_dir:
-            args.dot_dir.mkdir(parents=True, exist_ok=True)
-            for which in DOT_KINDS:
-                out = args.dot_dir / f"{path.stem}.{which}.dot"
-                out.write_text(emit_dot(bundle, which), encoding="utf-8")
+        try:
+            doc = parse(path.read_text(encoding="utf-8-sig"))
+            bundle = run(doc, ("green", "skeleton", "diagram"), args.max_elements)
+            sys.stdout.write(report_text(bundle))
+            lines, ok = verification_lines(bundle)
+            sys.stdout.write("\n".join(lines) + "\n\n")
+            failures += 0 if ok else 1
+            if args.dot_dir:
+                args.dot_dir.mkdir(parents=True, exist_ok=True)
+                for which in DOT_KINDS:
+                    out = args.dot_dir / f"{path.stem}.{which}.dot"
+                    out.write_text(emit_dot(bundle, which), encoding="utf-8")
+        except (InputError, OSError, UnicodeError) as err:
+            print(f"error in {path.name}: {err}", file=sys.stderr)
+            return 2
+        except ResourceLimitError as err:
+            print(f"resource cap in stage {err.stage} on {path.name}: {err}", file=sys.stderr)
+            return 3
+        except MemoryError:
+            print(f"resource cap in stage memory on {path.name}: out of memory", file=sys.stderr)
+            return 3
+        except (ConsistencyError, MalformedPreorderError, NotAMorphismError, AssertionError) as err:
+            print(f"internal verification failure on {path.name}: {err}", file=sys.stderr)
+            return 4
 
     print(f"{len(paths)} input(s), {failures} failure(s)")
     return 1 if failures else 0

@@ -284,45 +284,34 @@ class ClassPoset:
     def __len__(self):
         return len(self.classes)
 
-    def levels(self):
-        """Longest-chain height of every class above the minimal ones.
+    def _covers_bottom_up(self):
+        """The covers (lo, hi), by decreasing up-set size of hi.
 
         A class strictly below another has a strictly larger up-set, so
-        classes by decreasing up-set size come in a topological order; one
-        pass in that order takes each level from the lower covers' levels.
+        every cover into a class comes before every cover out of it.
         """
-        lower = [[] for _ in self.classes]
-        for lo, hi in self.covers:
-            lower[hi].append(lo)
+        return sorted(self.covers, key=lambda cover: -self.rows[cover[1]].bit_count())
+
+    def levels(self):
+        """Longest-chain height of every class above the minimal ones, in one pass bottom up."""
         level = [0] * len(self.classes)
-        for i in sorted(range(len(self.classes)), key=lambda i: -self.rows[i].bit_count()):
-            level[i] = max([level[lo] + 1 for lo in lower[i]], default=0)
+        for lo, hi in self._covers_bottom_up():
+            level[hi] = max(level[hi], level[lo] + 1)
         return level
+
+    def down_sets(self):
+        """Bit d of ``down_sets()[c]`` says class d <= class c: the converse of ``rows``.
+
+        Bottom up, each down-set is the class's own bit ORed with the
+        down-sets of its lower covers.
+        """
+        down = [1 << i for i in range(len(self.classes))]
+        for lo, hi in self._covers_bottom_up():
+            down[hi] |= down[lo]
+        return down
 
     def maximal(self):
         return tuple(i for i, row in enumerate(self.rows) if row & ~(1 << i) == 0)
-
-
-def transpose(rows):
-    """The converse relation: bit i of row j when bit j of row i.
-
-    Above ``_WIDE`` rows the bits of each row are read with ``set_bits``.
-    """
-    n = len(rows)
-    cols = [0] * n
-    if n > _WIDE:
-        for i, row in enumerate(rows):
-            bit = 1 << i
-            for j in set_bits(row):
-                cols[j] |= bit
-        return cols
-    for i, row in enumerate(rows):
-        rest = row
-        while rest:
-            low = rest & -rest
-            cols[low.bit_length() - 1] |= 1 << i
-            rest ^= low
-    return cols
 
 
 def order_violation(src_rows, dst_rows, f):
@@ -436,7 +425,7 @@ def poset_isomorphic(p, q):
         tuple(j for j in range(nq) if qsig[j] == psig[i]) for i in range(np_)
     ]
     order = sorted(range(np_), key=lambda i: (len(candidates[i]), i))
-    p_down, q_down = transpose(p.rows), transpose(q.rows)
+    p_down, q_down = p.down_sets(), q.down_sets()
     # before[k]: the classes assigned above depth k, order[:k], as a mask
     before = [0] * np_
     for k in range(1, np_):
@@ -489,7 +478,7 @@ def lattice_violation(poset):
     """
     n = len(poset)
     up = poset.rows
-    down = transpose(poset.rows)
+    down = poset.down_sets()
     for i in range(n):
         for j in range(i + 1, n):
             common_up = up[i] & up[j]

@@ -5,12 +5,18 @@ the principal left ideal S^1*s.  That turns the J-class order into the
 subduction order and the L-class order into inclusion.  Both isomorphisms
 are verified here, on the orbit of the full state set under rho(G) for a
 generating set G, without building the representation.
+
+rho(G) is S^1's right Cayley graph relabelled, with no product taken: it
+rests on the same right edges as the R and J preorders.  The L-versus-
+inclusion isomorphism still checks the left edges against the orbit of
+rho(G) independently, and ``naive.right_regular_table`` checks rho(G)
+against the full product table in the tests.
 """
 
 from functools import cached_property
+from operator import itemgetter
 
-from .core import multiplier
-from .green import ConsistencyError, green_preorder
+from .green import ConsistencyError, _cayley_graphs, green_preorder
 from .order import induce_indexed, is_order_isomorphism, poset_isomorphic
 from .skeleton import ImageSet, inclusion, orbit, subduction
 
@@ -19,17 +25,17 @@ class RegRep:
     """The base semigroup together with its right-multiplication action.
 
     States are the elements of S^1, identity first and the rest in
-    canonical order; ``state_of`` numbers them.  ``gens`` holds the image
-    tuple of rho(g) for each g of ``base.generating_images()``.
-    ``orbit`` is the ImageSet of the full state set under those tuples,
-    and ``at[a]`` the position in it of the image of rho(carrier[a]).
+    canonical order; ``one`` is the identity's index among the elements.
+    ``gens`` holds the image tuple of rho(g) for each g of
+    ``base.generating_images()``, ``orbit`` the ImageSet of the full state
+    set under them, and ``at[a]`` the position in it of im(rho(carrier[a])).
     """
 
-    def __init__(self, base, monoid, carrier, state_of, gens, orbit, at):
+    def __init__(self, base, monoid, carrier, one, gens, orbit, at):
         self.base = base
         self.monoid = monoid
         self.carrier = carrier
-        self.state_of = state_of
+        self.one = one
         self.gens = gens
         self.orbit = orbit
         self.at = at
@@ -43,23 +49,26 @@ class RegRep:
 def right_regular(ts):
     """Represent every element of S as right multiplication on S^1.
 
-    rho(g) is built for a generating set only: entry a is the state of a*g.
-    A breadth-first walk of those edges from the identity state must reach
-    every state of S (else ConsistencyError).  The image of rho(a*g), that
-    of rho(a) under rho(g), is read off the edges of the images' orbit.
-    rho(s) sends the identity state to s, so the representation is
-    faithful by construction.
+    rho(g) is built for a generating set only: entry a is the state of a*g,
+    the right Cayley edge of a under g.  A breadth-first walk of those
+    edges from the identity state must reach every state of S (else
+    ConsistencyError).  The image of rho(a*g), that of rho(a) under rho(g),
+    is read off the edges of the images' orbit.  rho(s) sends the identity
+    state to s, so the representation is faithful by construction.
     """
     m = ts.adjoin_identity()
-    one = m.identity()
-    carrier = (one,) + tuple(t for t in m.elements if t != one)
-    state_of = {a: i for i, a in enumerate(carrier)}
-    state_of_images = {a.images: i for a, i in state_of.items()}
-    times = [multiplier(a.images) for a in carrier]
+    right = _cayley_graphs(m)[0]
+    one = m.keys.index(m._key(range(m.n)))
+    # element e is state e + 1 before the identity and state e after it
+    rows = right[one:one + 1] + right[:one] + right[one + 1:]
+    n = len(rows)
+    state = list(range(1, one + 1)) + [0] + list(range(one + 1, n))
     gens = tuple(
-        tuple(state_of_images[times_a(g)] for times_a in times) for g in ts.generating_images()
+        tuple(map(state.__getitem__, map(itemgetter(c), rows)))
+        for c in map(m.generating_images().index, ts.generating_images())
     )
-    n = len(carrier)
+    # dropped before the elements are built below, which lowers the peak memory at scale
+    del rows, state
     full = (1 << n) - 1
     iset = ImageSet(n, *orbit(n, gens, [full]))
     at = [None] * n
@@ -71,9 +80,10 @@ def right_regular(ts):
             if at[b] is None:
                 at[b] = j
                 order.append(b)
+    carrier = m.elements[one:one + 1] + m.elements[:one] + m.elements[one + 1:]
     if len(order) < n:
         raise ConsistencyError(f"the walk misses {carrier[at.index(None)]}")
-    return RegRep(ts, m, carrier, state_of, gens, iset, at)
+    return RegRep(ts, m, carrier, one, gens, iset, at)
 
 
 class CorollaryReport:
@@ -112,7 +122,7 @@ def corollary_check(ts):
     m = rr.monoid
     incl = inclusion(rr.orbit.subsets)
     # the orbit position of im(rho(s)) for every s, in element order
-    im = [rr.at[a] for a in map(rr.state_of.__getitem__, m.elements)]
+    im = rr.at[1:rr.one + 1] + rr.at[:1] + rr.at[rr.one + 1:]
     verdicts = []
     for kind, target in (("J", subduction(incl, rr.orbit.edges)), ("L", incl)):
         bridge = induce_indexed(im, green_preorder(m, kind), target)

@@ -10,6 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from greenskel.core import (
+    _WIDE,
     DomainMismatchError,
     StateSubset,
     Transformation,
@@ -24,6 +25,7 @@ from greenskel.order import (
     Preorder,
     _signatures,
     induce_indexed,
+    set_bits,
 )
 from greenskel.skeleton import image_set, subduction_preorder
 
@@ -243,6 +245,11 @@ def right_regular_table(elements, n):
     carrier = [one] + sorted(set(elements) - {one})
     state = {a: i for i, a in enumerate(carrier)}
     return {s: tuple(state[comp(a, s)] for a in carrier) for s in carrier}
+
+
+def state_of(rr):
+    """The state of every element of S^1 in the representation ``rr``, as a dict."""
+    return {a: i for i, a in enumerate(rr.carrier)}
 
 
 def regular_representation(ts):
@@ -686,6 +693,29 @@ def levels(poset):
         below = [level[lo] + 1 for lo, hi in poset.covers if hi == i]
         level[i] = max(below, default=0)
     return level
+
+
+def transpose(rows):
+    """The converse relation: bit i of row j when bit j of row i.
+
+    Above ``_WIDE`` rows the bits of each row are read with ``set_bits``.
+    The library's down-sets, built from the covers, are checked against it.
+    """
+    n = len(rows)
+    cols = [0] * n
+    if n > _WIDE:
+        for i, row in enumerate(rows):
+            bit = 1 << i
+            for j in set_bits(row):
+                cols[j] |= bit
+        return cols
+    for i, row in enumerate(rows):
+        rest = row
+        while rest:
+            low = rest & -rest
+            cols[low.bit_length() - 1] |= 1 << i
+            rest ^= low
+    return cols
 
 
 def reachable(rows, i):

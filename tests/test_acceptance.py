@@ -123,7 +123,7 @@ def test_regular_representation_listing():
     # that rho of the generators uses
     table = naive.right_regular_table([t.images for t in m.elements], m.n)
     assert rr.gens == tuple(table[g] for g in m.generating_images())
-    sigma = {rr.state_of[t]: i for i, t in enumerate(reference_carrier)}
+    sigma = {naive.state_of(rr)[t]: i for i, t in enumerate(reference_carrier)}
     for s in rr.carrier:
         mine = table[s.images]
         relabeled = [None] * len(mine)

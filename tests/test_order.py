@@ -26,7 +26,6 @@ from greenskel.order import (
     order_violation,
     set_bits,
     strongly_connected,
-    transpose,
     union_over,
 )
 
@@ -616,9 +615,23 @@ class TestWideRows:
         rows = self.random_rows(rng, n)
         bits = [[j for j in range(n) if row >> j & 1] for row in rows]
         assert [set_bits(row) for row in rows] == bits
-        assert transpose(rows) == [
+        assert naive.transpose(rows) == [
             sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)
         ]
+        # a partial order: the closure of the rows' bits above the diagonal,
+        # under a random renumbering of the classes
+        closed = [0] * n
+        for i in reversed(range(n)):
+            closed[i] = 1 << i
+            for j in bits[i]:
+                if j > i:
+                    closed[i] |= closed[j]
+        name = rng.sample(range(n), n)
+        order = [0] * n
+        for i in range(n):
+            order[name[i]] = sum(1 << name[j] for j in range(n) if closed[i] >> j & 1)
+        poset = ClassPoset(Preorder(range(n), list(range(n)), order))
+        assert poset.down_sets() == naive.transpose(order)
         masks = self.random_rows(rng, n)
         for row, members in zip(rows, bits):
             want = 0

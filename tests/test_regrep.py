@@ -52,8 +52,9 @@ def assert_matches_table(ts):
     rr = right_regular(ts)
     assert [a.images for a in rr.carrier] == list(table)
     assert rr.gens == tuple(table[g] for g in ts.generating_images())
+    state = naive.state_of(rr)
     for s in rr.carrier:
-        assert rr.images[rr.state_of[s]] == StateSubset.of(len(table), table[s.images]).mask
+        assert rr.images[state[s]] == StateSubset.of(len(table), table[s.images]).mask
     rep, _ = naive.regular_representation(ts)
     want = sorted(table[t.images] for t in ts.elements)
     assert [r.images for r in rep.elements] == want
@@ -93,7 +94,7 @@ class TestRepresentation:
             assert rr.carrier[0] == m.identity()
             rest = [t for t in m.elements if t != m.identity()]
             assert list(rr.carrier[1:]) == rest
-            assert all(rr.state_of[a] == i for i, a in enumerate(rr.carrier))
+            assert all(naive.state_of(rr)[a] == i for i, a in enumerate(rr.carrier))
 
     def test_faithful(self, fixtures):
         for ts in fixtures.values():
@@ -116,24 +117,27 @@ class TestRepresentation:
         for ts in fixtures.values():
             rr = right_regular(ts)
             _, rho = naive.regular_representation(ts)
+            state = naive.state_of(rr)
             for s in ts.elements:
-                assert rho[s].images[0] == rr.state_of[s]
+                assert rho[s].images[0] == state[s]
 
     def test_images_are_left_ideals(self, fixtures):
         for ts in fixtures.values():
             rr = right_regular(ts)
             monoid = [t.images for t in rr.monoid]
+            state = naive.state_of(rr)
             for s in ts.elements:
                 ideal = naive.left_ideal(s.images, monoid)
-                expect = {rr.state_of[Transformation(f)] for f in ideal}
-                assert rr.images[rr.state_of[s]] == sum(1 << a for a in expect)
+                expect = {state[Transformation(f)] for f in ideal}
+                assert rr.images[state[s]] == sum(1 << a for a in expect)
 
     def test_chain_collapse_image_of_middle_element(self):
         ts = chain_collapse()
         rr = right_regular(ts)
         elements = {t.one_based: t for t in ts}
         t2, t3 = elements[(3, 1, 3)], elements[(3, 3, 3)]
-        assert rr.images[rr.state_of[t2]] == 1 << rr.state_of[t2] | 1 << rr.state_of[t3]
+        state = naive.state_of(rr)
+        assert rr.images[state[t2]] == 1 << state[t2] | 1 << state[t3]
 
     def test_collapse_motif_matches_frozen_listing(self):
         # reference listing of the representation, states ordered
@@ -153,7 +157,7 @@ class TestRepresentation:
         assert set(rr.carrier) == set(reference_carrier)
         table = naive.right_regular_table([t.images for t in ts.elements], ts.n)
         assert rr.gens == tuple(table[g] for g in ts.generating_images())
-        sigma = {rr.state_of[t]: i for i, t in enumerate(reference_carrier)}
+        sigma = {naive.state_of(rr)[t]: i for i, t in enumerate(reference_carrier)}
         for s in rr.carrier:
             mine = table[s.images]
             relabeled = [None] * len(mine)
@@ -168,6 +172,35 @@ class TestRepresentation:
         assert len(rr.carrier) == 4 and len(rep.elements) == 3
         # rho(s) of a right zero s is constant at s, and rho(1) is onto
         assert rr.images == (0b1111, 0b0010, 0b0100, 0b1000)
+
+
+class TestRightCayleyEdges:
+    """rho(G) is S^1's right Cayley graph, relabelled from elements to states."""
+
+    def test_planted_wrong_right_edge_breaks_the_table(self, monkeypatch):
+        # one column of the graph with two targets swapped: rho(G) reads
+        # those edges, so it no longer matches the full product table
+        real = green._cayley_graphs
+
+        def planted(m):
+            right, left = real(m)
+            right = list(right)
+            j = next(j for j, row in enumerate(right) if row[0] != right[0][0])
+            right[0], right[j] = (right[j][0],) + right[0][1:], (right[0][0],) + right[j][1:]
+            return right, left
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get("_cayley_graphs") is real:
+                monkeypatch.setattr(module, "_cayley_graphs", planted)
+        with pytest.raises(AssertionError):
+            assert_matches_table(full_tmonoid(3))
+
+    @pytest.mark.parametrize("make", [full_tmonoid, right_zero])
+    def test_builds_no_element_index(self, make):
+        # the identity is found among the keys, not through the element index
+        ts = make()
+        rr = right_regular(ts)
+        assert "_index" not in vars(ts) and "_index" not in vars(rr.monoid)
 
 
 class TestCorollary:

@@ -52,11 +52,6 @@ def main(argv=None):
     ap.add_argument("--max-states", type=int, default=4)
     ap.add_argument("--max-gens", type=int, default=3)
     ap.add_argument("--cap", type=int, default=60, help="skip closures above this size")
-    ap.add_argument(
-        "--skip-corollary",
-        action="store_true",
-        help="omit the representation checks (they square the state count)",
-    )
     args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
@@ -76,11 +71,14 @@ def main(argv=None):
                 print(f"diagram FAIL on {describe(ts)}")
                 print(report.to_text())
                 return 1
-            if not args.skip_corollary:
-                cor = corollary_check(ts)
-                if not cor.passed:
-                    print(f"representation FAIL on {describe(ts)}")
-                    return 1
+            cor = corollary_check(ts)
+            if not cor.passed:
+                print(f"representation FAIL on {describe(ts)}")
+                print(
+                    f"  j_is_iso={cor.j_is_iso} j_found={cor.j_found} "
+                    f"l_is_iso={cor.l_is_iso} l_found={cor.l_found}"
+                )
+                return 1
             for partition in admissible_partitions(ts):
                 target, morphism = quotient_ts(ts, partition)
                 ok, violation = validate(morphism)

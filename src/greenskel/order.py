@@ -336,19 +336,6 @@ def order_violation(src_rows, dst_rows, f):
     return None
 
 
-def is_order_isomorphism(src_rows, dst_rows, f):
-    """Is the index map ``f`` a bijection that preserves and reflects <=?"""
-    if sorted(f) != list(range(len(dst_rows))):
-        return False
-    inverse = [0] * len(f)
-    for i, t in enumerate(f):
-        inverse[t] = i
-    return (
-        order_violation(src_rows, dst_rows, f) is None
-        and order_violation(dst_rows, src_rows, inverse) is None
-    )
-
-
 class InducedMap:
     """The quotient-level map induced by a preorder-respecting item map."""
 
@@ -359,6 +346,19 @@ class InducedMap:
 
     def is_surjective(self):
         return len(set(self.class_map)) == len(self.target)
+
+    def is_isomorphism(self):
+        """Is the class map f an order isomorphism?  The one such verdict.
+
+        It needs f to preserve the order, which ``induce_indexed``, the
+        maker of every InducedMap, decides.  Then f is one exactly when it
+        is a bijection and both posets relate as many class pairs: f x f
+        maps the source's pairs injectively into the target's, so equal
+        counts make it onto, and f[i] <= f[j] comes only from i <= j.
+        """
+        return len(self.source) == len(self.target) and self.is_surjective() and (
+            sum(map(int.bit_count, self.source.rows)) == sum(map(int.bit_count, self.target.rows))
+        )
 
     def fibers(self):
         """For each target class, the list of source classes mapping onto it."""
@@ -421,9 +421,10 @@ def poset_isomorphic(p, q):
     qsig = _signatures(q)
     if sorted(psig) != sorted(qsig):
         return None
-    candidates = [
-        tuple(j for j in range(nq) if qsig[j] == psig[i]) for i in range(np_)
-    ]
+    by_signature = {}
+    for j, sig in enumerate(qsig):
+        by_signature.setdefault(sig, []).append(j)
+    candidates = [by_signature[sig] for sig in psig]
     order = sorted(range(np_), key=lambda i: (len(candidates[i]), i))
     p_down, q_down = p.down_sets(), q.down_sets()
     # before[k]: the classes assigned above depth k, order[:k], as a mask

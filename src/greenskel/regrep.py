@@ -4,7 +4,9 @@ State a*s is where state a goes under rho(s), so the image of rho(s) is
 the principal left ideal S^1*s.  That turns the J-class order into the
 subduction order and the L-class order into inclusion.  Both isomorphisms
 are verified here, on the orbit of the full state set under rho(G) for a
-generating set G, without building the representation.
+generating set G, without building the representation.  Each is decided
+once, by ``InducedMap.is_isomorphism`` on the induced class map, and
+witnessed again by the independent search ``poset_isomorphic``.
 
 rho(G) is S^1's right Cayley graph relabelled, with no product taken: it
 rests on the same right edges as the R and J preorders.  The L-versus-
@@ -13,11 +15,10 @@ rho(G) independently, and ``naive.right_regular_table`` checks rho(G)
 against the full product table in the tests.
 """
 
-from functools import cached_property
 from operator import itemgetter
 
 from .green import ConsistencyError, _cayley_graphs, green_preorder
-from .order import induce_indexed, is_order_isomorphism, poset_isomorphic
+from .order import induce_indexed, poset_isomorphic
 from .skeleton import ImageSet, inclusion, orbit, subduction
 
 
@@ -39,11 +40,6 @@ class RegRep:
         self.gens = gens
         self.orbit = orbit
         self.at = at
-
-    @cached_property
-    def images(self):
-        """``images[a]``: the image of rho(carrier[a]) as a bit mask, read once."""
-        return tuple(self.orbit.subsets[i].mask for i in self.at)
 
 
 def right_regular(ts):
@@ -90,9 +86,10 @@ class CorollaryReport:
     """Witnesses that, on the regular representation, the induced maps are isos.
 
     ``j_map`` takes the J-class of s in S^1 to the skeleton class of
-    im(rho(s)), ``l_map`` its L-class to that image set; ``j_found`` and
-    ``l_found`` record that an independent backtracking search also finds
-    isomorphisms.
+    im(rho(s)), ``l_map`` its L-class to that image set.  ``j_is_iso`` and
+    ``l_is_iso`` are ``InducedMap.is_isomorphism`` of those maps;
+    ``j_found`` and ``l_found`` record that an independent backtracking
+    search also finds isomorphisms.
     """
 
     def __init__(self, regrep, j_map, l_map, j_is_iso, l_is_iso, j_found, l_found):
@@ -126,11 +123,10 @@ def corollary_check(ts):
     verdicts = []
     for kind, target in (("J", subduction(incl, rr.orbit.edges)), ("L", incl)):
         bridge = induce_indexed(im, green_preorder(m, kind), target)
-        source, dest = bridge.source, bridge.target
         verdicts += [
             bridge.class_map,
-            is_order_isomorphism(source.rows, dest.rows, bridge.class_map),
-            poset_isomorphic(source, dest) is not None,
+            bridge.is_isomorphism(),
+            poset_isomorphic(bridge.source, bridge.target) is not None,
         ]
     j_map, j_is_iso, j_found, l_map, l_is_iso, l_found = verdicts
     return CorollaryReport(rr, j_map, l_map, j_is_iso, l_is_iso, j_found, l_found)

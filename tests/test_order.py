@@ -22,7 +22,6 @@ from greenskel.order import (
     closure_classes,
     fibres,
     induce_indexed,
-    is_order_isomorphism,
     order_violation,
     set_bits,
     strongly_connected,
@@ -75,6 +74,11 @@ def digraphs(draw, max_n=14):
 
 def pair_set(rows):
     return {(i, j) for i, row in enumerate(rows) for j in range(len(rows)) if row >> j & 1}
+
+
+def is_iso_by_pairs(src_rows, dst_rows, f):
+    """``naive.is_order_isomorphism`` on bit rows."""
+    return naive.is_order_isomorphism(pair_set(src_rows), pair_set(dst_rows), f, len(dst_rows))
 
 
 def successors(rows):
@@ -512,7 +516,38 @@ class TestMorphism:
     def test_induced_identity_is_order_isomorphism(self):
         p = preorder_from_pairs("abc", [("a", "b"), ("b", "c")])
         out = induce_indexed([0, 1, 2], p, p)
-        assert is_order_isomorphism(out.source.rows, out.target.rows, out.class_map)
+        assert out.is_isomorphism()
+        assert is_iso_by_pairs(out.source.rows, out.target.rows, out.class_map)
+
+    def test_bijection_that_does_not_reflect_is_no_isomorphism(self):
+        # a 2-antichain onto a 2-chain: order preserving, onto and one to
+        # one, but b <= a in the target comes from no pair of the source
+        src = preorder_from_pairs("ab", [])
+        dst = preorder_from_pairs("xy", [("x", "y")])
+        out = induce_indexed([0, 1], src, dst)
+        assert out.is_surjective() and len(out.source) == len(out.target) == 2
+        assert not out.is_isomorphism()
+        assert not is_iso_by_pairs(out.source.rows, out.target.rows, out.class_map)
+
+    @given(relabelings())
+    @example(([0b1], [0b1], [0]))  # one item on each side
+    @example(([0b1], [0b11, 0b10], [0]))  # not onto the larger target
+    @example(([0b11, 0b10], [0b11, 0b10], [0, 0]))  # constant, not injective
+    @example(([0b01, 0b10], [0b11, 0b10], [0, 1]))  # onto, preserving, not reflecting
+    @example(([0b001, 0b010, 0b100], [0b11, 0b10], [0, 1, 1]))  # onto, as many pairs, not one to one
+    @settings(max_examples=300)
+    def test_is_isomorphism_matches_iff_definition(self, case):
+        # wherever the map is a morphism, the bijection-and-pair-count
+        # verdict equals the pairwise definition on the class posets
+        src_rows, dst_rows, f = case
+        src = naive.preorder([f"a{i}" for i in range(len(src_rows))], src_rows)
+        dst = naive.preorder([f"b{t}" for t in range(len(dst_rows))], dst_rows)
+        try:
+            out = induce_indexed(f, src, dst)
+        except NotAMorphismError:
+            return
+        want = is_iso_by_pairs(out.source.rows, out.target.rows, out.class_map)
+        assert out.is_isomorphism() == want
 
 
 class TestInduceIndexed:
@@ -588,16 +623,6 @@ class TestOrderViolation:
             with pytest.raises(NotAMorphismError) as info:
                 induce_indexed(f, src, dst)
             assert info.value.witness == (f"a{want[0]}", f"a{want[1]}")
-
-    @given(relabelings())
-    @example(([0b1], [0b1], [0]))  # one item on each side
-    @example(([0b1], [0b11, 0b10], [0]))  # not onto the larger target
-    @example(([0b11, 0b10], [0b11, 0b10], [0, 0]))  # constant, not injective
-    @settings(max_examples=200)
-    def test_isomorphism_matches_iff_definition(self, case):
-        src_rows, dst_rows, f = case
-        want = naive.is_order_isomorphism(pair_set(src_rows), pair_set(dst_rows), f, len(dst_rows))
-        assert is_order_isomorphism(src_rows, dst_rows, f) == want
 
 
 class TestWideRows:
@@ -734,7 +759,7 @@ class TestIsomorphism:
         q = ClassPoset(naive.preorder(range(6), [11, 2, 12, 8, 62, 34]))
         iso = poset_isomorphic(p, q)
         assert iso == naive.poset_isomorphic(p, q) is not None
-        assert is_order_isomorphism(p.rows, q.rows, [iso[i] for i in range(6)])
+        assert is_iso_by_pairs(p.rows, q.rows, [iso[i] for i in range(6)])
 
     @given(relations(max_n=5), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -776,7 +801,7 @@ class TestAgainstNetworkx:
         iso = poset_isomorphic(p, q)
         assert (iso is not None) == nx.is_isomorphic(strict_digraph(nx, p), strict_digraph(nx, q))
         if iso is not None:
-            assert is_order_isomorphism(p.rows, q.rows, [iso[i] for i in range(n)])
+            assert is_iso_by_pairs(p.rows, q.rows, [iso[i] for i in range(n)])
 
 
 class TestLattice:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from greenskel import (
     right_regular,
     skeleton_poset,
 )
-from greenskel import green, order, regrep
+from greenskel import cli, green, order, regrep
 from greenskel.catalog import chain_collapse, collapse_motif, full_tmonoid, right_zero, trivial
 from greenskel.cli import build_semigroup, parse
 from greenskel.green import ConsistencyError
@@ -24,6 +26,11 @@ import naive
 from conftest import count_apply_mask
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+
+# the Catalan monoid C_8: generator k moves state k to k + 1 and fixes the rest
+CATALAN_8 = "states: 8\n" + "".join(
+    "gen: " + " ".join(str(x + 2 if x == k else x + 1) for x in range(8)) + "\n" for k in range(7)
+)
 
 
 @st.composite
@@ -42,6 +49,11 @@ def semigroups(draw, max_states=3, cap=30):
         assume(False)
 
 
+def image_masks(rr):
+    """The image of rho(carrier[a]) as a bit mask, for every state a."""
+    return [rr.orbit.subsets[i].mask for i in rr.at]
+
+
 def assert_matches_table(ts):
     """The states, rho(G) and the walked image of every s of S^1 agree with the full product table.
 
@@ -53,8 +65,9 @@ def assert_matches_table(ts):
     assert [a.images for a in rr.carrier] == list(table)
     assert rr.gens == tuple(table[g] for g in ts.generating_images())
     state = naive.state_of(rr)
+    masks = image_masks(rr)
     for s in rr.carrier:
-        assert rr.images[state[s]] == StateSubset.of(len(table), table[s.images]).mask
+        assert masks[state[s]] == StateSubset.of(len(table), table[s.images]).mask
     rep, _ = naive.regular_representation(ts)
     want = sorted(table[t.images] for t in ts.elements)
     assert [r.images for r in rep.elements] == want
@@ -126,10 +139,11 @@ class TestRepresentation:
             rr = right_regular(ts)
             monoid = [t.images for t in rr.monoid]
             state = naive.state_of(rr)
+            masks = image_masks(rr)
             for s in ts.elements:
                 ideal = naive.left_ideal(s.images, monoid)
                 expect = {state[Transformation(f)] for f in ideal}
-                assert rr.images[state[s]] == sum(1 << a for a in expect)
+                assert masks[state[s]] == sum(1 << a for a in expect)
 
     def test_chain_collapse_image_of_middle_element(self):
         ts = chain_collapse()
@@ -137,7 +151,7 @@ class TestRepresentation:
         elements = {t.one_based: t for t in ts}
         t2, t3 = elements[(3, 1, 3)], elements[(3, 3, 3)]
         state = naive.state_of(rr)
-        assert rr.images[state[t2]] == 1 << state[t2] | 1 << state[t3]
+        assert image_masks(rr)[state[t2]] == 1 << state[t2] | 1 << state[t3]
 
     def test_collapse_motif_matches_frozen_listing(self):
         # reference listing of the representation, states ordered
@@ -171,7 +185,7 @@ class TestRepresentation:
         rep, _ = naive.regular_representation(ts)
         assert len(rr.carrier) == 4 and len(rep.elements) == 3
         # rho(s) of a right zero s is constant at s, and rho(1) is onto
-        assert rr.images == (0b1111, 0b0010, 0b0100, 0b1000)
+        assert image_masks(rr) == [0b1111, 0b0010, 0b0100, 0b1000]
 
 
 class TestRightCayleyEdges:
@@ -218,7 +232,7 @@ class TestCorollary:
             assert report.passed, name
             whole = corollary_check(ts)
             assert (report.j_map, report.l_map) == (whole.j_map, whole.l_map), name
-            assert report.regrep.images == whole.regrep.images, name
+            assert image_masks(report.regrep) == image_masks(whole.regrep), name
 
     def test_maps_come_from_the_induced_maps(self):
         ts = collapse_motif()
@@ -243,6 +257,31 @@ class TestCorollary:
             m = report.regrep.monoid
             assert len(skeleton_poset(mt)) == len(green_poset(m, "J")) == len(set(report.j_map))
             assert len(inclusion_poset(mt)) == len(green_poset(m, "L")) == len(set(report.l_map))
+
+    def test_planted_bijection_that_does_not_reflect_fails(self, monkeypatch, capsys):
+        # every class map replaced by a 2-antichain onto a 2-chain: a
+        # bijection that preserves the order but reflects none of it
+        antichain = naive.preorder("ab", [0b01, 0b10])
+        chain = naive.preorder("xy", [0b11, 0b10])
+        planted = order.induce_indexed([0, 1], antichain, chain)
+        monkeypatch.setattr(regrep, "induce_indexed", lambda image, src, dst: planted)
+        report = corollary_check(collapse_motif())
+        assert not report.j_is_iso and not report.l_is_iso and not report.passed
+        assert cli.main(["regrep", "--input", str(INPUTS / "collapse_motif.tsg")]) == 1
+        assert "J-order vs skeleton isomorphism: FAIL" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ("", "347e7e0f03388d23b41c147570472341a35c0f936c2b11e511f84abb9ef400e4"),
+            ("monoid: false\n", "4492b42f3530ca26cf332c645dbf9308c3e1bc1fa006fcf74931bd09f286ca69"),
+        ],
+    )
+    def test_catalan_report_bytes(self, extra, digest):
+        # golden: sha256 of the C_8 regrep text report plus its --out JSON
+        bundle = cli.run(parse(CATALAN_8 + extra), ("regrep",))
+        blob = cli.report_text(bundle) + json.dumps(cli.report_data(bundle), indent=2) + "\n"
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
     def test_trivial(self):
         report = corollary_check(trivial(1))

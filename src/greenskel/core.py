@@ -323,7 +323,8 @@ class TransformationSemigroup:
     list, and the first missing product raises ``NotClosedError``.
     ``generate`` keeps its closure's set, whose keys are products of
     checked generators, and builds ``keys``, ``elements`` and the index on
-    first use, as does its S^1.  Every instance is therefore closed.
+    first use, as do its S^1 and ``_on_keys``, whose closure is decided
+    as the constructor's.  Every instance is therefore closed.
     """
 
     def __init__(self, n, generators, elements):
@@ -339,14 +340,34 @@ class TransformationSemigroup:
         self._setup(n, generators, set(keys))
         self.elements = elements
         self.keys = keys
+        self._decide_closure()
+
+    @classmethod
+    def _on_keys(cls, n, generators, images, gens=None):
+        """The semigroup on n states whose elements' keys are the set ``images``.
+
+        Only the set is kept, as ``generate`` keeps its closure's, and
+        ``keys`` and ``elements`` are built on first use.  ``gens``, when
+        given, is stored as ``generating_images()``: the caller vouches that
+        it is the list the search would return.  Closure is decided as the
+        constructor decides it.
+        """
+        ts = cls.__new__(cls)
+        ts._setup(n, tuple(dict.fromkeys(generators)), images, gens)
+        ts._decide_closure()
+        return ts
+
+    def _decide_closure(self):
+        """Raise ``NotClosedError`` if some element times a generating image lies outside the set."""
+        n, keys = self.n, self.keys
         gens = self.generating_images()
         if all(self._images.issuperset(_times(n, g)(keys)) for g in gens):
             return
         # not closed: name the first missing (s, g), s in element order, then g in list order
-        for s in elements:
+        for s in self.elements:
             times_s = multiplier(s.images)
             for g in gens:
-                if key(times_s(g)) not in self._images:
+                if self._key(times_s(g)) not in self._images:
                     raise NotClosedError(s, Transformation._product(g))
 
     def _setup(self, n, generators, images, gens=None):

@@ -5,9 +5,24 @@ elements, compatible with the actions.  Quotients by admissible state
 partitions are the canonical way to manufacture them.  The checks at the
 bottom verify that such a morphism carries the whole order apparatus of
 the source (Green preorders, image sets, subduction) onto the target's.
+
+The element map is held as element indices, ``TsMorphism.elem_index``:
+the target index of each source element, in canonical order.  A quotient
+reads it off the elements' keys, and the laws and the functoriality check
+read it as it is, so no dict keyed by elements is built on that path;
+``elem_map`` is derived from it when first read.  The trade-off: the
+homomorphism law is read off the right Cayley graphs of S^1 and T^1, the
+edges the R and J preorders rest on, instead of multiplying elements.
+The law is then only as right as those edges: a wrong edge that hides a
+failing product goes unseen, as it would in R and J, and one that
+invents a failure raises ``ConsistencyError`` when the pairwise scan
+finds no witness.  The tests keep the pairwise law over all |S|^2
+products (``naive.validate``) as the oracle.
 """
 
-from functools import cached_property
+from bisect import bisect_left
+from functools import cache, cached_property, partial
+from operator import eq, itemgetter
 from types import MappingProxyType
 
 from .core import (
@@ -15,11 +30,14 @@ from .core import (
     StateSubset,
     Transformation,
     TransformationSemigroup,
+    _key_kind,
+    _left_times,
     _read_only,
+    _times,
     apply_mask,
     multiplier,
 )
-from .green import green_preorder
+from .green import ConsistencyError, _cayley_graphs, green_preorder
 from .maps import im_bar, im_bar_S, im_index, image_masks, l_to_j
 from .order import NotAMorphismError, induce_indexed
 from .skeleton import image_set, subduction_preorder
@@ -30,31 +48,57 @@ MAX_PARTITION_STATES = 8
 class TsMorphism:
     """Paired surjections (states, elements) compatible with the actions.
 
-    Immutable: ``state_map`` is a tuple and ``elem_map`` a read-only copy of
-    the mapping given, so the verdict ``validate`` stores on first use
-    cannot go stale.  Morphisms with equal fields are equal.
+    ``elem_index[i]`` is the target index of the i-th source element, or
+    None where the image given lies outside the target.  The constructor
+    takes the element map as a mapping, keeps a read-only copy of it as
+    ``elem_map`` and reads the indices off it through the target's index
+    once; a quotient builds its morphism on the indices, and ``elem_map``
+    is then derived on first read.  Immutable, so the verdict ``validate``
+    stores on first use cannot go stale.  Morphisms with equal source,
+    target, state map and element indices are equal.
     """
 
     def __init__(self, source, target, state_map, elem_map):
+        self._set_maps(source, target, state_map)
+        given = MappingProxyType(dict(elem_map))
+        try:
+            images = list(map(given.__getitem__, source.elements))
+        except KeyError as err:
+            raise ValueError(f"elem_map not total, e.g. {err.args[0]!r}") from None
+        object.__setattr__(self, "elem_map", given)
+        object.__setattr__(self, "elem_index", tuple(map(target._index.get, images)))
+
+    @classmethod
+    def _on_indices(cls, source, target, state_map, elem_index):
+        """The morphism sending source element i to target element ``elem_index[i]``."""
+        m = cls.__new__(cls)
+        m._set_maps(source, target, state_map)
+        object.__setattr__(m, "elem_index", elem_index)
+        return m
+
+    def _set_maps(self, source, target, state_map):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "state_map", tuple(state_map))
-        object.__setattr__(self, "elem_map", MappingProxyType(dict(elem_map)))
-        if len(self.state_map) != self.source.n:
+        if len(self.state_map) != source.n:
             raise ValueError("state_map must cover every source state")
         for y in self.state_map:
-            if not 0 <= y < self.target.n:
+            if not 0 <= y < target.n:
                 raise ValueError(f"state image {y} outside the target state set")
-        missing = [s for s in self.source.elements if s not in self.elem_map]
-        if missing:
-            raise ValueError(f"elem_map not total, e.g. {missing[0]!r}")
 
-    def _fields(self):
-        return self.source, self.target, self.state_map, self.elem_map
+    @cached_property
+    def elem_map(self):
+        """The element map keyed by elements, read-only, built from ``elem_index``."""
+        image = self.target.elements.__getitem__
+        return MappingProxyType(dict(zip(self.source.elements, map(image, self.elem_index))))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return (self.source, self.target, self.state_map) == (
+                other.source,
+                other.target,
+                other.state_map,
+            ) and all(map(eq, self.elem_index, other.elem_index))
         return NotImplemented
 
     __setattr__ = __delattr__ = _read_only
@@ -67,36 +111,83 @@ class TsMorphism:
         """Composite morphism: apply self, then other."""
         if other.source is not self.target:
             raise ValueError("composition requires matching middle semigroup")
-        return TsMorphism(
+        return TsMorphism._on_indices(
             self.source,
             other.target,
             tuple(other.state_map[y] for y in self.state_map),
-            {s: other.elem_map[t] for s, t in self.elem_map.items()},
+            tuple(map(other.elem_index.__getitem__, self.elem_index)),
         )
+
+
+def _identity_at(m):
+    """The index of the identity among the elements of the monoid m: a bisection of its keys."""
+    return bisect_left(m.keys, m._key(range(m.n)))
+
+
+def _on_monoids(m):
+    """S^1, T^1 and the element map on their element indices.
+
+    An identity adjoined to T moves the target indices from its place on
+    up by one; an identity adjoined to S is sent to T^1's identity.
+    """
+    sm, tm = m.source.adjoin_identity(), m.target.adjoin_identity()
+    phi = m.elem_index
+    if tm is not m.target:
+        at = _identity_at(tm)
+        phi = [j + (j >= at) for j in phi]
+    if sm is not m.source:
+        phi = list(phi)
+        phi.insert(_identity_at(sm), _identity_at(tm))
+    return sm, tm, phi
+
+
+def _generator_images(sm, tm, phi):
+    """The keys of phi(g) in T^1, for g in S^1's generating images in order."""
+    at = partial(bisect_left, sm.keys)
+    return [tm.keys[phi[at(sm._key(g))]] for g in sm.generating_images()]
+
+
+def _homomorphism_holds(m):
+    """Does phi(s*g) == phi(s)phi(g) hold for every s in S^1 and g in its generating images?
+
+    With S^1's identity sent to T^1's, the law on S^1 is the law on S.  If
+    it holds for every g of a generating set, induction on the length of t
+    gives phi(st) = phi(s)phi(t) for every t.  The index of s*g is S^1's
+    right Cayley edge; that of t*phi(g) is T^1's right edge when phi(g) is
+    among T^1's generating images, and otherwise one ``_times`` pass over
+    T^1's keys, placed by bisection.
+    """
+    sm, tm, phi = _on_monoids(m)
+    right, tright = _cayley_graphs(sm)[0], None
+    tkeys = tm.keys
+    tgens = {g: k for k, g in enumerate(map(tm._key, tm.generating_images()))}
+    for k, h in enumerate(_generator_images(sm, tm, phi)):
+        if h in tgens:
+            if tright is None:
+                tright = _cayley_graphs(tm)[0]
+            times_h = list(map(itemgetter(tgens[h]), tright))
+        else:
+            times_h = list(map(partial(bisect_left, tkeys), _times(tm.n, h)(tkeys)))
+        images = map(phi.__getitem__, map(itemgetter(k), right))
+        if not all(map(eq, images, map(times_h.__getitem__, phi))):
+            return False
+    return True
 
 
 def _homomorphism_violation(m):
     """The first (s, t) in canonical order with phi(st) != phi(s)phi(t), or None.
 
-    The verdict is decided on a generating set G: if phi(s*g) =
-    phi(s)phi(g) for every s in S and g in G, then for t = g1...gk
-    induction on k gives phi(st) = phi(s)phi(t).  S is closed and elem_map
-    total on it, so every product has an image.  Only when a generator pair
-    fails does the pairwise scan run, to find the first witness.
+    The verdict is ``_homomorphism_holds``; only when it fails does the
+    pairwise scan run, to find the first witness.  A scan that finds none
+    means the Cayley edges are wrong, and raises ``ConsistencyError``.
     """
-    phi = {s.images: m.elem_map[s].images for s in m.source.elements}
-    gens = [(g, phi[g]) for g in m.source.generating_images()]
-    for s, fs in phi.items():
-        times_s, times_fs = multiplier(s), multiplier(fs)
-        if any(phi[times_s(g)] != times_fs(fg) for g, fg in gens):
-            break
-    else:
+    if _homomorphism_holds(m):
         return None
     for s in m.source.elements:
         for t in m.source.elements:
             if m.elem_map[s * t] != m.elem_map[s] * m.elem_map[t]:
                 return s, t
-    return None
+    raise ConsistencyError("the Cayley edges break the homomorphism law, but no product does")
 
 
 def validate(m):
@@ -114,38 +205,42 @@ def _check_laws(m):
     Violations are tagged tuples: surjectivity of either map, the
     homomorphism law, action compatibility, and the identity condition
     (the identity of the source must map to the identity of the target).
-    The homomorphism law is decided on a generating set of the source,
-    |S|·|G| products instead of |S|²; the pairwise scan in canonical
-    order runs only to locate the first witness.  Compatibility is one
-    comparison of image tuples per element, s then the state map against
-    the state map then phi(s); the scan over states runs only to name the
-    first witness.
+    All are decided on ``elem_index`` and the elements' keys: "into" and
+    "onto" are set tests on the indices, and the homomorphism law is read
+    off the right Cayley graphs (``_homomorphism_holds``).  Compatibility
+    compares, per element s, the key of s then the state map with that of
+    the state map then phi(s): one translate per source element, and one
+    per target element for the second, looked up through ``elem_index``.
+    ``Transformation``s are built, and the pairwise and per-state scans
+    run, only to name the first witness.
     """
-    hit_states = set(m.state_map)
-    if len(hit_states) != m.target.n:
-        y = min(set(range(m.target.n)) - hit_states)
+    source, target, state_map, phi = m.source, m.target, m.state_map, m.elem_index
+    hit_states = set(state_map)
+    if len(hit_states) != target.n:
+        y = min(set(range(target.n)) - hit_states)
         return False, ("state_map_not_onto", y)
-    for s in m.source.elements:
-        if m.elem_map[s] not in m.target:
-            return False, ("elem_map_not_into_target", s)
-    hit = set(m.elem_map[s] for s in m.source.elements)
-    for t in m.target.elements:
-        if t not in hit:
-            return False, ("elem_map_not_onto", t)
+    if None in phi:
+        return False, ("elem_map_not_into_target", source.elements[phi.index(None)])
+    hit = set(phi)
+    if len(hit) != len(target):
+        j = min(set(range(len(target))) - hit)
+        return False, ("elem_map_not_onto", target.elements[j])
     witness = _homomorphism_violation(m)
     if witness is not None:
         return False, ("homomorphism", witness)
-    state_map = m.state_map
-    state_map_then = multiplier(state_map)
-    for s in m.source.elements:
-        fs = m.elem_map[s]
-        if multiplier(s.images)(state_map) != state_map_then(fs.images):
-            x = next(x for x in range(m.source.n) if state_map[s(x)] != fs(state_map[x]))
-            return False, ("compatibility", (x, s))
-    if m.source.has_identity:
-        one = m.source.identity()
-        if not m.elem_map[one].is_identity():
-            return False, ("identity_condition", one)
+    n = source.n
+    then = [u for u, in _left_times(target.n, [state_map])(target.keys)]
+    if _key_kind(n) is not _key_kind(target.n):
+        then = list(map(tuple, then))
+    agree = list(map(eq, _times(n, state_map)(source.keys), map(then.__getitem__, phi)))
+    if False in agree:
+        i = agree.index(False)
+        s, fs = source.elements[i], target.elements[phi[i]]
+        x = next(x for x in range(n) if state_map[s(x)] != fs(state_map[x]))
+        return False, ("compatibility", (x, s))
+    if source.has_identity:
+        if target.keys[phi[_identity_at(source)]] != target._key(range(target.n)):
+            return False, ("identity_condition", source.identity())
     return True, None
 
 
@@ -226,6 +321,13 @@ def admissible_partitions(ts):
     return out
 
 
+@cache
+def _trivial():
+    """The target of every one-block quotient, built on first use: one state and its one map."""
+    one = Transformation((0,))
+    return TransformationSemigroup(1, [one], [one])
+
+
 def quotient_ts(ts, partition):
     """Collapse states along an admissible partition.
 
@@ -233,21 +335,26 @@ def quotient_ts(ts, partition):
     Distinct elements may induce the same block map, so the element map is
     generally non-injective; the target always acts faithfully.
 
-    Each element s is read on image tuples: s followed by the state map
-    gives the block of every state's image.  s keeps the blocks when that
-    tuple is constant on each block, that is, equal to itself read at each
-    state's block's first member, and its entries at the first members are
-    the block map.  Equal block maps share one ``Transformation``.  The
-    blocks are scanned one by one only to name the first that s splits.
+    Every element is read on its key, one pass each: its key translated
+    through the state map gives the block of every state's image
+    (``lands``).  One ``_left_times`` pass then reads ``lands`` at the first
+    member of each state's block and at the first member of each block.
+    The element keeps the blocks when the first equals ``lands``, and the
+    second is its block map.  The target is built on the set of block
+    maps, as ``generate`` builds its result, and its closure is decided;
+    ``elem_index`` comes from one dict over the target's keys.  The blocks
+    are scanned one by one only to name the first that an element splits.
 
-    The discrete partition in its own numbering, (0,), (1,), ..., gives S
-    itself: the target is ``ts``, the element map the identity and the
-    state map ``range(n)``.  The induced semigroup would be a copy of S
-    with equal content, on which the same deterministic code would
-    recompute everything the checks read; on ``ts`` they read what was
-    computed for S^1 already.  ``validate`` and ``functoriality_check``
-    still run every law on that morphism.  Singleton blocks in any other
-    order take the general path.
+    Two partitions take a shortcut.  The one-block partition gives the
+    trivial semigroup, the same object for every source, so its stored
+    structures are built once.  The discrete partition in its own
+    numbering, (0,), (1,), ..., gives S itself: the target is ``ts``, the
+    element indices ``range(|S|)`` and the state map ``range(n)``.  The
+    induced semigroup would be a copy of S with equal content, on which
+    the same deterministic code would recompute everything the checks
+    read; on ``ts`` they read what was computed for S^1 already.
+    ``validate`` and ``functoriality_check`` still run every law on both
+    morphisms.  Singleton blocks in any other order take the general path.
     """
     if not isinstance(partition, AdmissiblePartition):
         partition = AdmissiblePartition(tuple(tuple(b) for b in partition))
@@ -259,29 +366,35 @@ def quotient_ts(ts, partition):
         raise ValueError("partition does not cover the state set exactly")
     state_map = tuple(block_of[x] for x in range(ts.n))
     if state_map == tuple(range(ts.n)):
-        return ts, TsMorphism(ts, ts, state_map, {s: s for s in ts.elements})
+        return ts, TsMorphism._on_indices(ts, ts, state_map, range(len(ts)))
+    if len(blocks) == 1:
+        target = _trivial()
+        return target, TsMorphism._on_indices(ts, target, state_map, (0,) * len(ts))
 
+    n, tn = ts.n, len(blocks)
     firsts = tuple(block[0] for block in blocks)
-    at_first = multiplier(tuple(firsts[b] for b in state_map))
+    lands = list(_times(n, state_map)(ts.keys))
+    reads = list(_left_times(n, [tuple(firsts[b] for b in state_map), firsts])(lands))
+    at_first = list(map(itemgetter(0), reads))
+    if at_first != lands:
+        i = next(i for i, (u, v) in enumerate(zip(at_first, lands)) if u != v)
+        split = next(block for block in blocks if len({lands[i][x] for x in block}) != 1)
+        raise ValueError(f"partition not admissible: {ts.elements[i]!r} splits block {split}")
+    block_maps = list(map(itemgetter(1), reads))
+    if _key_kind(tn) is not _key_kind(n):
+        block_maps = list(map(_key_kind(tn), block_maps))
+    declared = [g.images for g in ts.generators]
     block_map = multiplier(firsts)
-    induced = {}
-    elem_map = {}
-    for s in ts.elements:
-        lands = multiplier(s.images)(state_map)
-        if at_first(lands) != lands:
-            split = next(block for block in blocks if len({lands[x] for x in block}) != 1)
-            raise ValueError(f"partition not admissible: {s!r} splits block {split}")
-        images = block_map(lands)
-        t = induced.get(images)
-        if t is None:
-            t = induced[images] = Transformation(images)
-        elem_map[s] = t
-    target = TransformationSemigroup(
-        len(blocks),
-        [elem_map[g] for g in ts.generators],
-        induced.values(),
-    )
-    return target, TsMorphism(ts, target, state_map, elem_map)
+    generators = [Transformation._product(block_map(multiplier(g)(state_map))) for g in declared]
+    # when S's declared generators are its generating images, their block
+    # maps generate T, and T's search would return them as they are
+    gens = None
+    if ts.generating_images() == declared:
+        gens = tuple(dict.fromkeys(t.images for t in generators))
+    target = TransformationSemigroup._on_keys(tn, generators, set(block_maps), gens)
+    at = {u: j for j, u in enumerate(target.keys)}
+    elem_index = tuple(map(at.__getitem__, block_maps))
+    return target, TsMorphism._on_indices(ts, target, state_map, elem_index)
 
 
 class FunctorialityReport:
@@ -346,34 +459,23 @@ class FunctorialityReport:
         }
 
 
-def _extended_elem_map(m):
-    """elem_map extended to the monoids on both sides."""
-    sm = m.source.adjoin_identity()
-    tm = m.target.adjoin_identity()
-    ext = dict(m.elem_map)
-    one = sm.identity()
-    if one not in ext:
-        ext[one] = tm.identity()
-    return sm, tm, ext
-
-
 def functoriality_check(m):
     """Verify that the whole order apparatus transports along a valid morphism.
 
     ``validate`` runs first; a morphism its caller has validated already
-    returns the stored verdict.
+    returns the stored verdict.  phi is read on element indices of S^1 and
+    T^1, from ``elem_index``.
     """
     ok, violation = validate(m)
     if not ok:
         raise ValueError(f"morphism fails validation: {violation}")
-    sm, tm, phi = _extended_elem_map(m)
-    # phi on element indices, source element order
-    phi_idx = list(map(tm.index, map(phi.__getitem__, sm.elements)))
+    sm, tm, phi_idx = _on_monoids(m)
     witnesses = {}
 
     # (a) element map respects and surjects both Green structures
     order_maps = {}
     induced_green = {}
+    item_surjective = len(set(phi_idx)) == len(tm)
     for kind in ("L", "J"):
         entry = {"morphism": True, "item_surjective": True, "class_surjective": True}
         try:
@@ -383,7 +485,7 @@ def functoriality_check(m):
         except NotAMorphismError as err:
             entry["morphism"] = False
             witnesses[f"{kind}_morphism"] = err.witness
-        entry["item_surjective"] = len(set(phi_idx)) == len(tm)
+        entry["item_surjective"] = item_surjective
         order_maps[kind] = entry
 
     # (b) state map carries image sets onto image sets, decided on masks
@@ -402,11 +504,10 @@ def functoriality_check(m):
     # every orbit edge, induction on word length gives it for every s in
     # S^1, so a witness s of P <= Q^s gives psi(P) <= psi(Q)^phi(s);
     # psi(Q^g) is read through the edge table, one ``apply_mask`` per edge
-    gens = [Transformation(g) for g in sm.generating_images()]
-    phi_gens = [phi[g].images for g in gens]
+    phi_gens = _generator_images(sm, tm, phi_idx)
     transport = next(
         (
-            (Q, gens[k])
+            (Q, k)
             for Q, q, heads in zip(ix.subsets, psi_masks, ix.edges)
             for k, j in enumerate(heads)
             if psi_masks[j] != apply_mask(q, phi_gens[k])
@@ -414,7 +515,8 @@ def functoriality_check(m):
         None,
     )
     if transport is not None:
-        witnesses["transport"] = transport
+        Q, k = transport
+        witnesses["transport"] = (Q, Transformation(sm.generating_images()[k]))
 
     # the target relation and the skeleton-level node map: psi induces a
     # map of the subduction preorders, or the first pair it breaks; onto

@@ -12,8 +12,8 @@ result as the orbit edge Q -> Q^g, an entry of the edge table: one
 ``apply_mask`` per edge, and no other consumer acts on a subset again.
 I(X) is closed under the action, so Q's images {Q^s : s in S^1} are the
 members reachable from Q along those edges.  Singletons map to
-singletons, {x}^g = {x^g}, so the extended carrier is the orbit of X and
-every singleton, found by the same search.
+singletons, {x}^g = {x^g}, so the extended carrier is I(X) plus the
+singletons it lacks, whose edges need no ``apply_mask``.
 
 Inclusion is read off the states: has[x], the subsets that contain x, is
 a column, and P's row of supersets is the AND of the columns of its
@@ -30,6 +30,7 @@ tuples, so ``regrep`` runs them on a representation it never builds.
 """
 
 from functools import cached_property
+from operator import eq
 
 from .core import StateSubset, apply_mask, per_monoid
 from .order import Preorder, closure_classes
@@ -70,16 +71,18 @@ def orbit(n, gens, starts):
 
     Returns the subsets, sorted, and the edge table: ``edges[i][k]`` is the
     position of subsets[i]^gens[k].  The search numbers the subsets as it
-    meets them, one ``apply_mask`` per (subset, generator), and the sort
+    meets them, one ``apply_mask`` per (subset, generator) except for the
+    identity, whose edge Q -> Q is written as it is, and the sort
     renumbers the edges.
     """
     order = list(dict.fromkeys(starts))
     found = {q: j for j, q in enumerate(order)}
+    moves = [None if all(map(eq, g, range(n))) else g for g in gens]
     heads = []
     for q in order:
         row = []
-        for g in gens:
-            p = apply_mask(q, g)
+        for g in moves:
+            p = q if g is None else apply_mask(q, g)
             j = found.setdefault(p, len(order))
             if j == len(order):
                 order.append(p)
@@ -143,16 +146,24 @@ def image_set(m):
 def extended_image_set(m):
     """I(X) together with all singletons; extras are flagged as adjoined.
 
-    One orbit search from the full set and every singleton: singletons map
-    to singletons, so it adds to I(X) the singletons it lacks, with their
-    edges.
+    The plain orbit plus the singletons it lacks: singletons map to
+    singletons, {x}^g = {x^g}, so an adjoined {x} has its edges read off
+    the generating images, with no ``apply_mask``, and the edges of I(X)
+    are moved into the larger carrier.
     """
-    singletons = [1 << x for x in range(m.n)]
-    found = image_set(m).position
-    adjoined = frozenset(StateSubset(m.n, s) for s in singletons if s not in found)
-    return ImageSet(
-        m.n, *orbit(m.n, m.generating_images(), [(1 << m.n) - 1, *singletons]), adjoined
-    )
+    base = image_set(m)
+    adjoined = [StateSubset.singleton(m.n, x) for x in range(m.n) if 1 << x not in base.position]
+    subsets = tuple(sorted(base.subsets + tuple(adjoined), key=StateSubset.sort_key))
+    position = {P.mask: i for i, P in enumerate(subsets)}
+    moved = [position[P.mask] for P in base.subsets]
+    edges = [None] * len(subsets)
+    for P, heads in zip(base.subsets, base.edges):
+        edges[position[P.mask]] = tuple(map(moved.__getitem__, heads))
+    gens = m.generating_images()
+    for P in adjoined:
+        x = P.mask.bit_length() - 1
+        edges[position[P.mask]] = tuple([position[1 << g[x]] for g in gens])
+    return ImageSet(m.n, subsets, tuple(edges), frozenset(adjoined))
 
 
 @per_monoid

@@ -332,11 +332,11 @@ def subduction_by_images(subsets, gens):
 def extended_image_set(ts):
     """The extended carrier of S^1 renumbered from the library's plain ``image_set``.
 
-    The form ``skeleton.extended_image_set`` had before it seeded one
-    orbit search with the singletons: the singletons missing from I(X) are
-    adjoined, the orbit's edges are moved into the larger carrier, and an
-    adjoined {x} goes to {x^g} for every generating image g, with no
-    ``apply_mask``.  Returns ``(subsets, edges, adjoined)``.
+    Written apart from ``skeleton.extended_image_set``, which builds the
+    same carrier: the singletons missing from I(X) are adjoined, the
+    orbit's edges are moved into the larger carrier, and an adjoined {x}
+    goes to {x^g} for every generating image g, with no ``apply_mask``.
+    Returns ``(subsets, edges, adjoined)``.
     """
     m = ts.adjoin_identity()
     base = image_set(m)

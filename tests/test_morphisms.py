@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from greenskel import (
     AdmissiblePartition,
+    ConsistencyError,
     NotClosedError,
     ResourceLimitError,
     Transformation,
@@ -19,6 +20,7 @@ from greenskel import (
     validate,
 )
 from greenskel import morphisms
+from greenskel.green import _cayley_graphs
 from greenskel.catalog import chain_collapse, full_tmonoid, right_zero, trivial
 
 import naive
@@ -528,6 +530,65 @@ class TestQuotient:
         ts = chain_collapse()
         with pytest.raises(ValueError, match="not admissible"):
             quotient_ts(ts, [(0, 1), (2,)])
+
+    def test_one_block_quotients_share_the_trivial_target(self, fixtures):
+        # every one-block quotient lands on the same trivial semigroup, whose
+        # stored structures serve every source: the verdicts equal those on a
+        # target built afresh for each
+        targets = set()
+        for name, ts in fixtures.items():
+            if ts.n < 2:
+                continue
+            blocks = [tuple(range(ts.n))]
+            target, q = quotient_ts(ts, blocks)
+            targets.add(id(target))
+            assert (target.n, target.generators, target.elements) == (
+                1,
+                (Transformation((0,)),),
+                (Transformation((0,)),),
+            ), name
+            assert validate(q) == naive.validate(q) == (True, None), name
+            fresh_target, fresh = naive.quotient_by_scan(ts, blocks)
+            assert fresh_target is not target
+            report = functoriality_check(q)
+            assert report.passed and report.witnesses == {}, name
+            assert report.to_dict() == functoriality_check(fresh).to_dict(), name
+        assert len(targets) == 1
+
+    def test_builds_no_element_index(self, fixtures, monkeypatch):
+        # the laws and the check read element indices, never the index dict
+        # the shared trivial target may carry an index from a morphism built on it elsewhere
+        trivial = morphisms._trivial.__wrapped__()
+        monkeypatch.setattr(morphisms, "_trivial", lambda: trivial)
+        count = 0
+        for name, ts in fixtures.items():
+            for source in (
+                TransformationSemigroup(ts.n, ts.generators, ts.elements),
+                TransformationSemigroup.generate(ts.n, ts.generators),
+            ):
+                for p in admissible_partitions(source):
+                    target, q = quotient_ts(source, p)
+                    assert validate(q) == (True, None)
+                    assert functoriality_check(q).passed
+                    for semigroup in (source, target):
+                        assert "_index" not in vars(semigroup), (name, p.blocks)
+                        assert "_index" not in vars(semigroup.adjoin_identity()), (name, p.blocks)
+                    count += 1
+        assert count == 2 * 27
+
+    def test_planted_right_edge_is_refused(self):
+        # the homomorphism law reads the right Cayley edges: one wrong edge of
+        # the source makes the edges and the products disagree
+        ts = chain_collapse()
+        _, q = merge_13(ts)
+        right, left = _cayley_graphs(ts)
+        phi = q.elem_index
+        wrong = next(j for j in range(len(ts)) if phi[j] != phi[right[0][0]])
+        planted = [(wrong,) + right[0][1:]] + right[1:]
+        ts.adjoin_identity()._memo[_cayley_graphs.__wrapped__, ()] = (planted, left)
+        assert naive.validate(q) == (True, None)
+        with pytest.raises(ConsistencyError, match="homomorphism law"):
+            validate(q)
 
     def test_then_composes(self):
         ts = chain_collapse()

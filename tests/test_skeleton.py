@@ -356,18 +356,27 @@ def assert_carriers_match_edge_oracles(m):
         )
 
 
-def reflect_and_fold(n):
+def reflect_and_fold(n, with_identity=False):
     """A small monoid on n states whose orbit misses most singletons.
 
     Generated by x -> n-1-x, the idempotent sending n-1 to 0, and a map
-    into four states.
+    into four states; ``with_identity`` declares the identity first, so
+    that it is among the generating images.
     """
     gens = [
         tuple(n - 1 - x for x in range(n)),
         tuple(x if x < n - 1 else 0 for x in range(n)),
         tuple((3 * x + 1) % min(n, 4) for x in range(n)),
     ]
+    if with_identity:
+        gens.insert(0, tuple(range(n)))
     return TransformationSemigroup.generate(n, map(Transformation, gens)).adjoin_identity()
+
+
+def catalan(n):
+    """The Catalan monoid C_n: generator k moves state k to k + 1 and fixes the rest; S^1 adjoins the identity."""
+    gens = [Transformation(tuple(k + 1 if x == k else x for x in range(n))) for k in range(n - 1)]
+    return TransformationSemigroup.generate(n, gens).adjoin_identity()
 
 
 class TestOrbitEdges:
@@ -377,6 +386,36 @@ class TestOrbitEdges:
         assert_carriers_match_edge_oracles(m)
         if n > 2:
             assert extended_image_set(m).adjoined
+
+    @pytest.mark.parametrize("n", [2, _WIDE - 1, _WIDE, _WIDE + 1])
+    def test_both_carriers_with_the_identity_among_the_generators(self, n):
+        m = reflect_and_fold(n, with_identity=True)
+        assert tuple(range(n)) in m.generating_images()
+        assert tuple(range(n)) not in reflect_and_fold(n).generating_images()
+        assert_carriers_match_edge_oracles(m)
+
+    @pytest.mark.parametrize("n", [2, _WIDE + 1])
+    def test_identity_edges_take_no_apply_mask(self, n, monkeypatch):
+        # Q -> Q^1 = Q is written as it is: one call per subset and non-identity generator
+        m = reflect_and_fold(n, with_identity=True)
+        calls = count_apply_mask(monkeypatch)
+        iset = image_set(m)
+        assert calls == [len(iset) * (len(m.generating_images()) - 1)]
+        k = m.generating_images().index(tuple(range(n)))
+        assert [heads[k] for heads in iset.edges] == list(range(len(iset)))
+        assert_edges_are_images(iset, m.generating_images())
+
+    def test_extended_catalan_acts_on_no_subset_twice(self, monkeypatch):
+        # the extended carrier adds the missing singletons to the plain orbit
+        # with no apply_mask: C_8 --extended costs what the plain orbit costs
+        plain, extended = catalan(8), catalan(8)
+        calls = count_apply_mask(monkeypatch)
+        image_set(plain)
+        orbit_calls = calls[0]
+        iset = extended_image_set(extended)
+        assert (len(iset), len(iset.adjoined)) == (135, 7)
+        assert orbit_calls == 128 * 7 and calls[0] - orbit_calls <= orbit_calls
+        assert (iset.subsets, iset.edges, iset.adjoined) == naive.extended_image_set(extended)
 
     def test_fixtures(self, fixtures):
         for ts in fixtures.values():
